@@ -13,6 +13,7 @@ import (
 
 	"tiledqr"
 	"tiledqr/internal/model"
+	"tiledqr/internal/tile"
 )
 
 func main() {
@@ -82,40 +83,34 @@ func main() {
 	fmt.Printf("%s(%s): %d×%d, %d×%d tiles of %d, critical path %d units\n",
 		*algName, *kern, *m, *n, p, q, *nb, cp)
 
-	flops := model.Flops(*m, *n)
 	if *complexArith {
-		flops = model.ComplexFlops(*m, *n)
-		a := tiledqr.RandomZDense(*m, *n, *seed)
-		start := time.Now()
-		f, err := tiledqr.FactorComplex(a, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		el := time.Since(start)
-		fmt.Printf("factored in %v (%.3f GFLOP/s, %d tasks)\n", el, flops/el.Seconds()/1e9, f.TaskCount())
-		if *verify {
-			q := f.ThinQ()
-			fmt.Printf("‖A−QR‖/‖A‖ = %.2e   ‖QᴴQ−I‖ = %.2e\n",
-				tiledqr.ZQRResidual(a, q, f.R()), tiledqr.ZOrthoResidual(q))
-		}
-		return
+		run[complex128](*m, *n, *seed, opt, model.ComplexFlops(*m, *n), *verify)
+	} else {
+		run[float64](*m, *n, *seed, opt, model.Flops(*m, *n), *verify)
 	}
-	a := tiledqr.RandomDense(*m, *n, *seed)
+}
+
+// run factors a random m×n matrix in T's domain and reports timing, the
+// residuals under -verify, and the Gantt chart when opt.Trace is set.
+func run[T tiledqr.Scalar](m, n int, seed int64, opt tiledqr.Options, flops float64, verify bool) {
+	a := tiledqr.RandomMat[T](m, n, seed)
 	start := time.Now()
-	f, err := tiledqr.Factor(a, opt)
+	f, err := tiledqr.FactorOf(a, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	el := time.Since(start)
 	fmt.Printf("factored in %v (%.3f GFLOP/s, %d tasks)\n", el, flops/el.Seconds()/1e9, f.TaskCount())
-	if *verify {
-		qf := f.ThinQ()
-		fmt.Printf("‖A−QR‖/‖A‖ = %.2e   ‖QᵀQ−I‖ = %.2e\n",
-			tiledqr.QRResidual(a, qf, f.R()), tiledqr.OrthoResidual(qf))
+	if verify {
+		q := f.ThinQ()
+		fmt.Printf("‖A−QR‖/‖A‖ = %.2e   ‖QᴴQ−I‖ = %.2e\n",
+			tile.ResidualQR(dense(a), dense(q), dense(f.R())), tile.OrthoResidual(dense(q)))
 	}
-	if *gantt {
+	if opt.Trace {
 		fmt.Print(f.GanttChart(100))
 		u := f.Utilization()
 		fmt.Printf("parallel efficiency: %.0f%%\n", 100*u.Overall)
 	}
 }
+
+func dense[T tiledqr.Scalar](a *tiledqr.Mat[T]) *tile.Dense[T] { return (*tile.Dense[T])(a) }

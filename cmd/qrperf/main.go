@@ -238,21 +238,18 @@ func bestPlasma(kern core.Kernels, kt kernelTimes, p, q, nb, workers int, comple
 // measured runs a real factorization on the host.
 func measured(alg tiledqr.Algorithm, kern tiledqr.Kernels, bs, p, q, nb, ib int, complexArith bool) float64 {
 	opt := tiledqr.Options{Algorithm: alg, Kernels: kern, TileSize: nb, InnerBlock: ib, BS: bs}
-	flops := model.Flops(p*nb, q*nb)
-	start := time.Now()
 	if complexArith {
-		a := tiledqr.RandomZDense(p*nb, q*nb, 7)
-		start = time.Now()
-		if _, err := tiledqr.FactorComplex(a, opt); err != nil {
-			die(err)
-		}
-		flops = model.ComplexFlops(p*nb, q*nb)
-	} else {
-		a := tiledqr.RandomDense(p*nb, q*nb, 7)
-		start = time.Now()
-		if _, err := tiledqr.Factor(a, opt); err != nil {
-			die(err)
-		}
+		return measuredOf[complex128](opt, p*nb, q*nb, model.ComplexFlops(p*nb, q*nb))
+	}
+	return measuredOf[float64](opt, p*nb, q*nb, model.Flops(p*nb, q*nb))
+}
+
+// measuredOf times one m×n factorization in T's domain, in GFLOP/s.
+func measuredOf[T tiledqr.Scalar](opt tiledqr.Options, m, n int, flops float64) float64 {
+	a := tiledqr.RandomMat[T](m, n, 7)
+	start := time.Now()
+	if _, err := tiledqr.FactorOf(a, opt); err != nil {
+		die(err)
 	}
 	return flops / time.Since(start).Seconds() / 1e9
 }

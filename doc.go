@@ -36,9 +36,9 @@
 // # Architecture: one generic engine, four precisions
 //
 // Every numeric layer is a single generic implementation parameterized by
-// the scalar constraint (float32 | float64 | complex64 | complex128); the
-// public API instantiates it four times behind thin typed wrappers. From
-// the bottom up:
+// the scalar constraint (float32 | float64 | complex64 | complex128), and
+// so is the public API: one QR[T], one Stream[T], one Mat[T]. From the
+// bottom up:
 //
 //	internal/vec    — the Scalar constraint, the real/complex hooks
 //	                  (Conj, Abs, RealPart, FromParts), and the tuned
@@ -50,13 +50,15 @@
 //	                  conjugation fused through the vec hooks
 //	internal/tile   — generic dense matrices, PLASMA tile layout, norms
 //	internal/engine — the one Factorization[T]: DAG execution loop (task →
-//	                  kernel dispatch with error reporting), ApplyQ/ApplyQT
+//	                  kernel dispatch with error reporting), ApplyQ/ApplyQH
 //	                  replay, SolveLS, workspace pooling, tracing
-//	public API      — Factor (float64), Factor32 (float32), FactorComplex
-//	                  (complex128), CFactor (complex64), and one generic
-//	                  Stream[T] for all four (NewStreamOf[T]; the historic
-//	                  StreamQR / StreamQR32 / ZStreamQR / CStreamQR names
-//	                  remain as deprecated aliases of its instantiations)
+//	public API      — one generic QR[T] (FactorOf[T], FactorIntoOf[T]) and
+//	                  one generic Stream[T] (NewStreamOf[T]) for all four
+//	                  precisions; the per-precision names (Factor,
+//	                  Factor32, FactorComplex, CFactor and their
+//	                  Factorization / Factorization32 / ZFactorization /
+//	                  CFactorization types; NewStream… and StreamQR…) are
+//	                  aliases and one-line forwards to them
 //
 // The real/complex difference never forks the code: conjugation is the
 // identity in the real domains and every hook compiles to straight-line
@@ -196,7 +198,7 @@
 // goroutines that accepts the task DAGs of any number of concurrent
 // factorizations, the way PLASMA's dynamic scheduler owns the cores for
 // the life of the process. By default (Options.Runtime nil, Workers 0)
-// every Factor/FactorComplex/Factor32/CFactor call and every stream merge
+// every factorization in every precision and every stream merge
 // shares the process-wide DefaultRuntime of GOMAXPROCS workers, so N
 // concurrent callers never oversubscribe the machine with N pools.
 // Admission across factorizations is weighted-fair — each job accumulates
@@ -284,9 +286,10 @@
 //
 // # Failure semantics
 //
-// Every public entry point has a Ctx variant (FactorCtx, FactorIntoCtx,
-// RefactorCtx, SolveLSCtx, ApplyQCtx/ApplyQTCtx, AppendRowsCtx,
-// AppendRHSCtx) threading a context.Context through the DAG execution. On
+// Every public entry point has a Ctx variant (FactorOfCtx,
+// FactorIntoOfCtx and their per-precision forwards, RefactorCtx,
+// SolveLSCtx, ApplyQCtx/ApplyQHCtx, AppendRowsCtx, AppendRHSCtx) threading
+// a context.Context through the DAG execution. On
 // cancellation, in-flight kernel tasks run to completion (they are
 // microseconds), queued tasks are dropped un-executed, and the call
 // returns ctx.Err() promptly; concurrent factorizations sharing the
@@ -294,14 +297,17 @@
 // and are never retained. A nil context means "never cancelled" — the
 // non-Ctx names are exactly that.
 //
-// Failure is sticky but never silent. A Factorization whose last attempt
-// failed — kernel error, panic (contained by the scheduler and converted
-// to an error), cancellation, or health-check breakdown — refuses to
-// serve results: Err reports the original cause, error-returning
-// accessors (ApplyQ/ApplyQT/SolveLS) wrap it, and value-returning
-// accessors (R, Q, ThinQ) panic with it rather than return half-factored
-// tiles. The state is recoverable: the next successful
-// Factor/FactorInto/Refactor rebuilds storage from scratch and clears it.
+// Failure is sticky but never silent. A QR whose last attempt failed —
+// kernel error, panic (contained by the scheduler and converted to an
+// error), cancellation, or health-check breakdown — refuses to serve
+// results: Err reports the original cause, error-returning accessors
+// (ApplyQ/ApplyQH/SolveLS) wrap it, and value-returning accessors (R, Q,
+// ThinQ) panic with it rather than return half-factored tiles. The state
+// is recoverable: the next successful FactorInto/Refactor rebuilds storage
+// from scratch and clears it. A zero QR that was never factored behaves
+// the same way with its own cause: every method reports an "empty
+// factorization" error (value accessors panic with it), never a nil
+// dereference.
 // A stream is different: a batch merge mutates the resident triangle in
 // place, so an append that fails past validation poisons the stream
 // permanently — Err, R, QTB, SolveLS, ResidualNorm and every later

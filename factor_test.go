@@ -148,29 +148,62 @@ func TestRMatchesReferenceUpToSigns(t *testing.T) {
 	}
 }
 
+// TestApplyQRoundTrip: Q·(Qᴴ·b) = b through FactorOf in every precision,
+// and a wrongly sized b is rejected.
 func TestApplyQRoundTrip(t *testing.T) {
-	a := RandomDense(40, 24, 11)
-	f, err := Factor(a, Options{TileSize: 8, InnerBlock: 3})
+	t.Run("d", func(t *testing.T) {
+		applyQRoundTrip[float64](t, 40, 24, 5, 11, Options{TileSize: 8, InnerBlock: 3}, tol)
+	})
+	t.Run("z", func(t *testing.T) {
+		applyQRoundTrip[complex128](t, 32, 16, 3, 7, Options{Algorithm: Fibonacci, TileSize: 8, InnerBlock: 4}, tol)
+	})
+	t.Run("s", func(t *testing.T) {
+		applyQRoundTrip[float32](t, 40, 24, 5, 11, Options{TileSize: 8, InnerBlock: 3}, tol32)
+	})
+	t.Run("c", func(t *testing.T) {
+		applyQRoundTrip[complex64](t, 32, 16, 3, 7, Options{Algorithm: Fibonacci, TileSize: 8, InnerBlock: 4}, tol32)
+	})
+}
+
+func applyQRoundTrip[T Scalar](t *testing.T, m, n, nrhs int, seed int64, opt Options, tol float64) {
+	f, err := FactorOf(RandomMat[T](m, n, seed), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b0 := RandomDense(40, 5, 12)
+	b0 := RandomMat[T](m, nrhs, seed+1)
 	b := b0.Clone()
-	if err := f.ApplyQT(b); err != nil {
+	if err := f.ApplyQH(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.ApplyQ(b); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			if math.Abs(b.At(i, j)-b0.At(i, j)) > tol {
-				t.Fatalf("Q·Qᵀ·b differs from b at (%d,%d)", i, j)
-			}
-		}
+	if d := maxDiffG(b, b0); d > tol {
+		t.Fatalf("Q·Qᴴ·b differs from b by %g", d)
 	}
-	if err := f.ApplyQT(NewDense(7, 1)); err == nil {
-		t.Error("ApplyQT accepted a wrongly sized b")
+	if err := f.ApplyQH(NewMat[T](7, 1)); err == nil {
+		t.Error("ApplyQH accepted a wrongly sized b")
+	}
+}
+
+// TestApplyQTIsApplyQH: on a real factorization the transpose and the
+// conjugate transpose are the same replay, bit for bit.
+func TestApplyQTIsApplyQH(t *testing.T) {
+	f, err := FactorOf(RandomDense(40, 24, 11), Options{TileSize: 8, InnerBlock: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, bh := RandomDense(40, 5, 12), RandomDense(40, 5, 12)
+	if err := f.ApplyQT(bt); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ApplyQH(bh); err != nil {
+		t.Fatal(err)
+	}
+	for i := range bt.Data {
+		if bt.Data[i] != bh.Data[i] {
+			t.Fatalf("ApplyQT and ApplyQH differ at element %d: %v vs %v", i, bt.Data[i], bh.Data[i])
+		}
 	}
 }
 

@@ -250,33 +250,37 @@ func TestStreamLifecycle(t *testing.T) {
 
 func TestReusableFactorSession(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var created streamCreateReply
-	if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Kind: "factor", Precision: "d"}, &created); code != http.StatusOK {
-		t.Fatalf("factor session create: status %d", code)
-	}
-	a := wellConditioned(10, 4, "d")
-	// First submission: R only.
-	var r1 streamFactorReply
-	if code := postJSON(t, ts.URL+"/v1/streams/"+created.ID+"/factor",
-		streamFactorRequest{Matrix: a}, &r1); code != http.StatusOK {
-		t.Fatalf("factor submit 1: status %d", code)
-	}
-	if r1.R == nil || r1.X != nil {
-		t.Fatalf("factor submit 1: want R only, got %+v", r1)
-	}
-	// Second same-shape submission reuses the arena and solves.
-	var r2 streamFactorReply
-	if code := postJSON(t, ts.URL+"/v1/streams/"+created.ID+"/factor",
-		streamFactorRequest{Matrix: a, RHS: matTimesOnes(a, "d", 2)}, &r2); code != http.StatusOK {
-		t.Fatalf("factor submit 2: status %d", code)
-	}
-	if r2.X == nil {
-		t.Fatalf("factor submit 2: want X, got %+v", r2)
-	}
-	for i := 0; i < 4; i++ {
-		if got := solutionAt(r2.X, "d", i); math.Abs(got-2) > 1e-8 {
-			t.Fatalf("factor submit 2: x[%d] = %v, want 2", i, got)
-		}
+	for _, prec := range []string{"d", "z", "s", "c"} {
+		t.Run(prec, func(t *testing.T) {
+			var created streamCreateReply
+			if code := postJSON(t, ts.URL+"/v1/streams", streamCreateRequest{Kind: "factor", Precision: prec}, &created); code != http.StatusOK {
+				t.Fatalf("factor session create: status %d", code)
+			}
+			a := wellConditioned(10, 4, prec)
+			// First submission: R only.
+			var r1 streamFactorReply
+			if code := postJSON(t, ts.URL+"/v1/streams/"+created.ID+"/factor",
+				streamFactorRequest{Matrix: a}, &r1); code != http.StatusOK {
+				t.Fatalf("factor submit 1: status %d", code)
+			}
+			if r1.R == nil || r1.X != nil {
+				t.Fatalf("factor submit 1: want R only, got %+v", r1)
+			}
+			// Second same-shape submission reuses the arena and solves.
+			var r2 streamFactorReply
+			if code := postJSON(t, ts.URL+"/v1/streams/"+created.ID+"/factor",
+				streamFactorRequest{Matrix: a, RHS: matTimesOnes(a, prec, 2)}, &r2); code != http.StatusOK {
+				t.Fatalf("factor submit 2: status %d", code)
+			}
+			if r2.X == nil {
+				t.Fatalf("factor submit 2: want X, got %+v", r2)
+			}
+			for i := 0; i < 4; i++ {
+				if got := solutionAt(r2.X, prec, i); math.Abs(got-2) > tolFor(prec) {
+					t.Fatalf("factor submit 2: x[%d] = %v, want 2", i, got)
+				}
+			}
+		})
 	}
 }
 

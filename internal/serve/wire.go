@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 
-	"tiledqr/internal/tile"
+	"tiledqr"
 	"tiledqr/internal/vec"
 )
 
@@ -54,68 +54,25 @@ func (m *Matrix) check(isComplex bool, maxElems int) error {
 }
 
 // decode converts a checked wire matrix into a dense matrix of T's domain.
-func decode[T vec.Scalar](m *Matrix) *tile.Dense[T] {
-	d := tile.NewDense[T](m.Rows, m.Cols)
-	if vec.IsComplex[T]() {
-		for i := 0; i < m.Rows; i++ {
-			row := d.Data[i*d.Stride:]
-			src := m.Data[2*i*m.Cols:]
-			for j := 0; j < m.Cols; j++ {
-				row[j] = vec.FromParts[T](src[2*j], src[2*j+1])
-			}
-		}
-		return d
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := d.Data[i*d.Stride:]
-		src := m.Data[i*m.Cols:]
-		for j := 0; j < m.Cols; j++ {
-			row[j] = vec.FromParts[T](src[j], 0)
-		}
-	}
-	return d
-}
+func decode[T vec.Scalar](m *Matrix) *tiledqr.Mat[T] { return hcat[T]([]*Matrix{m}) }
 
 // encode converts a dense matrix back to the wire form.
-func encode[T vec.Scalar](d *tile.Dense[T]) *Matrix {
-	m := &Matrix{Rows: d.Rows, Cols: d.Cols}
-	if vec.IsComplex[T]() {
-		m.Data = make([]float64, 2*d.Rows*d.Cols)
-		for i := 0; i < d.Rows; i++ {
-			row := d.Data[i*d.Stride:]
-			dst := m.Data[2*i*d.Cols:]
-			for j := 0; j < d.Cols; j++ {
-				dst[2*j] = vec.RealPart(row[j])
-				dst[2*j+1] = vec.ImagPart(row[j])
-			}
-		}
-		return m
-	}
-	m.Data = make([]float64, d.Rows*d.Cols)
-	for i := 0; i < d.Rows; i++ {
-		row := d.Data[i*d.Stride:]
-		dst := m.Data[i*d.Cols:]
-		for j := 0; j < d.Cols; j++ {
-			dst[j] = vec.RealPart(row[j])
-		}
-	}
-	return m
-}
+func encode[T vec.Scalar](d *tiledqr.Mat[T]) *Matrix { return splitCols(d, []int{d.Cols})[0] }
 
 // hcat concatenates checked wire matrices with equal row counts column-wise
 // into one dense matrix — the coalescing path stacks many small right-hand
 // sides into a single multi-column solve.
-func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tile.Dense[T] {
+func hcat[T vec.Scalar](ms []*Matrix) *tiledqr.Mat[T] {
 	rows, cols := ms[0].Rows, 0
 	for _, m := range ms {
 		cols += m.Cols
 	}
-	d := tile.NewDense[T](rows, cols)
+	d := tiledqr.NewMat[T](rows, cols)
 	off := 0
 	for _, m := range ms {
 		for i := 0; i < rows; i++ {
 			row := d.Data[i*d.Stride+off:]
-			if isComplex {
+			if vec.IsComplex[T]() {
 				src := m.Data[2*i*m.Cols:]
 				for j := 0; j < m.Cols; j++ {
 					row[j] = vec.FromParts[T](src[2*j], src[2*j+1])
@@ -133,7 +90,7 @@ func hcat[T vec.Scalar](ms []*Matrix, isComplex bool) *tile.Dense[T] {
 }
 
 // splitCols slices an encoded solution back into per-request column blocks.
-func splitCols[T vec.Scalar](x *tile.Dense[T], widths []int) []*Matrix {
+func splitCols[T vec.Scalar](x *tiledqr.Mat[T], widths []int) []*Matrix {
 	out := make([]*Matrix, len(widths))
 	off := 0
 	for k, w := range widths {

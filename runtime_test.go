@@ -1,6 +1,7 @@
 package tiledqr
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -236,20 +237,46 @@ func TestFactorIntoRebuildsOnNewShape(t *testing.T) {
 	}
 }
 
-// TestRefactorEmptyFactorization: Refactor on a never-factored value must
-// return an error, not panic, in every precision.
+// TestRefactorEmptyFactorization: every method on a never-factored value
+// must report errEmptyFactorization — as an error where the method returns
+// one, as a panic value where it does not — and never dereference nil, in
+// every precision.
 func TestRefactorEmptyFactorization(t *testing.T) {
-	if err := (&Factorization{}).Refactor(RandomDense(8, 4, 1)); err == nil {
-		t.Error("float64: no error")
+	t.Run("float64", emptyFactorization[float64])
+	t.Run("float32", emptyFactorization[float32])
+	t.Run("complex128", emptyFactorization[complex128])
+	t.Run("complex64", emptyFactorization[complex64])
+}
+
+func emptyFactorization[T Scalar](t *testing.T) {
+	var f QR[T]
+	a, b := RandomMat[T](8, 4, 1), RandomMat[T](8, 2, 2)
+	_, solveErr := f.SolveLS(b)
+	for name, err := range map[string]error{
+		"Refactor": f.Refactor(a),
+		"Err":      f.Err(),
+		"SolveLS":  solveErr,
+		"ApplyQ":   f.ApplyQ(b),
+		"ApplyQH":  f.ApplyQH(b),
+		"ApplyQT":  f.ApplyQT(b),
+	} {
+		if !errors.Is(err, errEmptyFactorization) {
+			t.Errorf("%s: got %v, want %v", name, err, errEmptyFactorization)
+		}
 	}
-	if err := (&Factorization32{}).Refactor(RandomDense32(8, 4, 1)); err == nil {
-		t.Error("float32: no error")
-	}
-	if err := (&CFactorization{}).Refactor(RandomCDense(8, 4, 1)); err == nil {
-		t.Error("complex64: no error")
-	}
-	if err := (&ZFactorization{}).Refactor(RandomZDense(8, 4, 1)); err == nil {
-		t.Error("complex128: no error")
+	for name, call := range map[string]func(){
+		"R":         func() { f.R() },
+		"TaskCount": func() { f.TaskCount() },
+		"Grid":      func() { f.Grid() },
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != errEmptyFactorization {
+					t.Errorf("%s: panicked with %v, want %v", name, p, errEmptyFactorization)
+				}
+			}()
+			call()
+		}()
 	}
 }
 

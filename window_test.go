@@ -50,48 +50,10 @@ func maxDiffG[T Scalar](got, want *Mat[T]) float64 {
 	return worst
 }
 
-// oneShot is a per-precision one-shot reference: factor a, return R and
-// the least-squares solution against b.
-type oneShot[T Scalar] func(a, b *Mat[T], opt Options) (*Mat[T], *Mat[T], error)
-
-func factorD(a, b *Mat[float64], opt Options) (*Mat[float64], *Mat[float64], error) {
-	f, err := Factor(a, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := f.SolveLS(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.R(), x, nil
-}
-
-func factorZ(a, b *Mat[complex128], opt Options) (*Mat[complex128], *Mat[complex128], error) {
-	f, err := FactorComplex(a, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := f.SolveLS(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.R(), x, nil
-}
-
-func factorS(a, b *Mat[float32], opt Options) (*Mat[float32], *Mat[float32], error) {
-	f, err := Factor32(a, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	x, err := f.SolveLS(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.R(), x, nil
-}
-
-func factorC(a, b *Mat[complex64], opt Options) (*Mat[complex64], *Mat[complex64], error) {
-	f, err := CFactor(a, opt)
+// oneShotLS is the one-shot reference: factor a, return R and the
+// least-squares solution against b.
+func oneShotLS[T Scalar](a, b *Mat[T], opt Options) (*Mat[T], *Mat[T], error) {
+	f, err := FactorOf(a, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -106,7 +68,7 @@ func factorC(a, b *Mat[complex64], opt Options) (*Mat[complex64], *Mat[complex64
 // checks that what remains is exactly the QR of the retained rows: R, the
 // least-squares solution, and the residual all agree with a one-shot
 // factorization over only the last W rows.
-func downdateAgree[T Scalar](t *testing.T, kern Kernels, tol float64, factor oneShot[T]) {
+func downdateAgree[T Scalar](t *testing.T, kern Kernels, tol float64) {
 	t.Helper()
 	const n, nb, ib, nrhs, batch, batches, window = 40, 16, 8, 2, 16, 10, 64
 	const m = batch * batches
@@ -128,7 +90,7 @@ func downdateAgree[T Scalar](t *testing.T, kern Kernels, tol float64, factor one
 
 	aTail, bTail := rowsOfG(a, m-window, window), rowsOfG(b, m-window, window)
 	refOpt := Options{TileSize: nb, InnerBlock: ib, Kernels: kern, Workers: 2}
-	rRef, xRef, err := factor(aTail, bTail, refOpt)
+	rRef, xRef, err := oneShotLS(aTail, bTail, refOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +135,10 @@ func downdateAgree[T Scalar](t *testing.T, kern Kernels, tol float64, factor one
 func TestDowndateMatchesRecompute(t *testing.T) {
 	for _, kern := range []Kernels{TT, TS} {
 		kern := kern
-		t.Run("d/"+kern.String(), func(t *testing.T) { downdateAgree[float64](t, kern, 1e-10, factorD) })
-		t.Run("z/"+kern.String(), func(t *testing.T) { downdateAgree[complex128](t, kern, 1e-10, factorZ) })
-		t.Run("s/"+kern.String(), func(t *testing.T) { downdateAgree[float32](t, kern, 2e-4, factorS) })
-		t.Run("c/"+kern.String(), func(t *testing.T) { downdateAgree[complex64](t, kern, 2e-4, factorC) })
+		t.Run("d/"+kern.String(), func(t *testing.T) { downdateAgree[float64](t, kern, 1e-10) })
+		t.Run("z/"+kern.String(), func(t *testing.T) { downdateAgree[complex128](t, kern, 1e-10) })
+		t.Run("s/"+kern.String(), func(t *testing.T) { downdateAgree[float32](t, kern, 2e-4) })
+		t.Run("c/"+kern.String(), func(t *testing.T) { downdateAgree[complex64](t, kern, 2e-4) })
 	}
 }
 

@@ -60,29 +60,6 @@ func TestZRDiagonalReal(t *testing.T) {
 	}
 }
 
-func TestZApplyQRoundTrip(t *testing.T) {
-	a := RandomZDense(32, 16, 7)
-	f, err := FactorComplex(a, Options{Algorithm: Fibonacci, TileSize: 8, InnerBlock: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0 := RandomZDense(32, 3, 8)
-	b := b0.Clone()
-	if err := f.ApplyQH(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ApplyQ(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			if cmplx.Abs(b.At(i, j)-b0.At(i, j)) > tol {
-				t.Fatalf("Q·Qᴴ·b differs from b at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestZThinQAndSolve(t *testing.T) {
 	m, n := 40, 8
 	a := RandomZDense(m, n, 9)
