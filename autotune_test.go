@@ -3,6 +3,8 @@ package tiledqr
 import (
 	"math"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -289,28 +291,35 @@ func TestAutoAnalysisGuards(t *testing.T) {
 	}
 }
 
-// minFactorTime returns the fastest of reps wall-clock factorizations.
-func minFactorTime(t *testing.T, a *Dense, opt Options, reps int) float64 {
+// factorTime returns the wall-clock seconds of one factorization. It
+// collects the previous samples' garbage first, so a GC cycle they
+// triggered is not charged to this one.
+func factorTime(t *testing.T, a *Dense, opt Options) float64 {
 	t.Helper()
-	best := math.Inf(1)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if _, err := Factor(a, opt); err != nil {
-			t.Fatal(err)
-		}
-		if sec := time.Since(start).Seconds(); sec < best {
-			best = sec
-		}
+	runtime.GC()
+	start := time.Now()
+	if _, err := Factor(a, opt); err != nil {
+		t.Fatal(err)
 	}
-	return best
+	return time.Since(start).Seconds()
+}
+
+// median returns the median of xs (xs is reordered).
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	if n := len(xs); n%2 == 0 {
+		return (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return xs[len(xs)/2]
 }
 
 // TestAutoWithinEnvelope is the measured acceptance criterion: on
 // representative shapes, Auto's wall time is never worse than the worst
 // fixed algorithm at the same (nb, ib, kernels), and within 15% of the best
 // fixed choice on this host. Wall-clock assertions are inherently noisy, so
-// the test takes the min of several runs, allows a small measurement slack,
-// retries once before failing, and skips under -short and the race
+// each algorithm and Auto are sampled in alternating rounds — a slow spell
+// of the host hits every candidate alike — and compared by their medians,
+// which one outlier cannot move. The test skips under -short and the race
 // detector.
 func TestAutoWithinEnvelope(t *testing.T) {
 	isolateCalibration(t)
@@ -320,6 +329,7 @@ func TestAutoWithinEnvelope(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock envelope check skipped under the race detector")
 	}
+	const rounds = 15
 	shapes := [][2]int{{256, 128}, {192, 192}}
 	for _, s := range shapes {
 		m, n := s[0], s[1]
@@ -329,31 +339,39 @@ func TestAutoWithinEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := RandomDense(m, n, 17)
-		check := func() (ok bool, autoT, best, worst float64, bestAlg, worstAlg Algorithm) {
-			best, worst = math.Inf(1), 0
-			for _, alg := range Algorithms {
-				fixed := Options{Algorithm: alg, Kernels: resolved.Kernels,
-					TileSize: resolved.TileSize, InnerBlock: resolved.InnerBlock}
-				sec := minFactorTime(t, a, fixed, 5)
-				if sec < best {
-					best, bestAlg = sec, alg
-				}
-				if sec > worst {
-					worst, worstAlg = sec, alg
-				}
+		// Candidate i is Algorithms[i] at Auto's resolved sizes; the last
+		// one is Auto itself. Each round starts one candidate later, so no
+		// candidate always runs first or last.
+		cands := make([]Options, 0, len(Algorithms)+1)
+		for _, alg := range Algorithms {
+			cands = append(cands, Options{Algorithm: alg, Kernels: resolved.Kernels,
+				TileSize: resolved.TileSize, InnerBlock: resolved.InnerBlock})
+		}
+		cands = append(cands, auto)
+		samples := make([][]float64, len(cands))
+		for r := 0; r < rounds; r++ {
+			for j := range cands {
+				i := (r + j) % len(cands)
+				samples[i] = append(samples[i], factorTime(t, a, cands[i]))
 			}
-			autoT = minFactorTime(t, a, auto, 5)
-			return autoT <= worst*1.05 && autoT <= best*1.15, autoT, best, worst, bestAlg, worstAlg
 		}
-		ok, autoT, best, worst, bestAlg, worstAlg := check()
-		if !ok { // one retry: absorb a scheduling hiccup, not a real miss
-			ok, autoT, best, worst, bestAlg, worstAlg = check()
+		best, worst := math.Inf(1), 0.0
+		var bestAlg, worstAlg Algorithm
+		for i, alg := range Algorithms {
+			sec := median(samples[i])
+			if sec < best {
+				best, bestAlg = sec, alg
+			}
+			if sec > worst {
+				worst, worstAlg = sec, alg
+			}
 		}
-		t.Logf("%d×%d (nb=%d ib=%d %v): auto %.2fms, best %v %.2fms, worst %v %.2fms",
-			m, n, resolved.TileSize, resolved.InnerBlock, resolved.Kernels,
+		autoT := median(samples[len(Algorithms)])
+		t.Logf("%d×%d (auto → %v nb=%d ib=%d %v), medians of %d: auto %.2fms, best %v %.2fms, worst %v %.2fms",
+			m, n, resolved.Algorithm, resolved.TileSize, resolved.InnerBlock, resolved.Kernels, rounds,
 			autoT*1e3, bestAlg, best*1e3, worstAlg, worst*1e3)
-		if !ok {
-			t.Errorf("%d×%d: auto %.2fms outside envelope [best %v %.2fms ×1.15, worst %v %.2fms]",
+		if autoT > worst*1.05 || autoT > best*1.15 {
+			t.Errorf("%d×%d: auto %.2fms outside envelope [best %v %.2fms ×1.15, worst %v %.2fms ×1.05]",
 				m, n, autoT*1e3, bestAlg, best*1e3, worstAlg, worst*1e3)
 		}
 	}

@@ -367,6 +367,17 @@
 // calibrates each family separately and records which one scored each
 // decision.
 //
+// Applying Q costs O(m·n·nrhs), the same tile kernels replaying the
+// stored reflectors, and SolveLS adds an O(n²·nrhs) back-substitution that
+// reads R in place from the factored tiles — no n×n copy of R is made. A
+// right-hand side narrower than the micro-GEMM register width (one to
+// three columns, the usual least-squares shape) has too few columns for
+// the packed path or for per-element vector calls, so the appliers switch
+// to a narrow form: the block-reflector workspace is kept per column as a
+// contiguous vector and each row of C costs one Dot and one Axpy over the
+// contiguous reflector row. On a 4096×256 float64 factorization that takes
+// Qᵀb from about 25 ms to about 3 ms (2-vCPU AVX2 host).
+//
 // The parallel runtime (internal/sched) executes the task DAG with
 // per-worker deques plus work stealing. Ready tasks are ordered by
 // critical-path priority — the longest weighted path to a DAG sink, using

@@ -433,8 +433,6 @@ type Factorization[T vec.Scalar] struct {
 	valid   bool  // false between a failed execution and the next rebuild
 	ferr    error // cause of the last failed execution, cleared on success
 	trace   *sched.Trace
-
-	workPool sync.Pool // scratch slices for ApplyQ/ApplyQT/SolveLS
 }
 
 // Factor computes the tiled QR factorization A = Q·R of an m×n matrix
@@ -593,17 +591,26 @@ func (f *Factorization[T]) T2Factor(i, k int) []T { return f.t2[f.tidx(i, k)] }
 // KCols returns the column count of tile column k (1-based).
 func (f *Factorization[T]) KCols(k int) int { return f.grid.TileCols(k - 1) }
 
+// workPools holds the ApplyQ/ApplyQT/SolveLS scratch slices, one
+// sync.Pool per scalar domain (slotted like the worker workspaces),
+// shared by every factorization. The pools live at package level on
+// purpose: a sync.Pool embedded in a Factorization is registered with the
+// runtime by address on first use, and that interior pointer keeps the
+// whole factorization — arena included — alive for two extra GC cycles
+// after its last user drops it.
+var workPools [4]sync.Pool
+
 // getWork fetches a pooled scratch slice of at least n elements; putWork
 // returns it. Steady-state Q applications allocate nothing.
-func (f *Factorization[T]) getWork(n int) []T {
-	if w, ok := f.workPool.Get().(*[]T); ok && len(*w) >= n {
+func getWork[T vec.Scalar](n int) []T {
+	if w, ok := workPools[wsSlot[T]()].Get().(*[]T); ok && len(*w) >= n {
 		return *w
 	}
 	return make([]T, n)
 }
 
-func (f *Factorization[T]) putWork(w []T) {
-	f.workPool.Put(&w)
+func putWork[T vec.Scalar](w []T) {
+	workPools[wsSlot[T]()].Put(&w)
 }
 
 // errInvalid is the state guard shared by every factor accessor: a failed
@@ -633,14 +640,8 @@ func (f *Factorization[T]) R() *tile.Dense[T] {
 	if err := f.errInvalid("R"); err != nil {
 		panic(err) // value-returning accessor: fail loudly, never silently serve garbage
 	}
-	k := min(f.grid.M, f.grid.N)
-	r := tile.NewDense[T](k, f.grid.N)
-	nb := f.grid.NB
-	for i := 0; i < k; i++ {
-		for j := i; j < f.grid.N; j++ {
-			r.Set(i, j, f.mat.Tile(i/nb, j/nb).At(i%nb, j%nb))
-		}
-	}
+	r := tile.NewDense[T](min(f.grid.M, f.grid.N), f.grid.N)
+	f.copyR(r.Data, r.Stride)
 	return r
 }
 
@@ -662,15 +663,22 @@ func (f *Factorization[T]) RInto(dst []T, ldr int) error {
 	if need := (k-1)*ldr + n; len(dst) < need {
 		return fmt.Errorf("tiledqr: RInto: dst has %d elements, need %d", len(dst), need)
 	}
+	f.copyR(dst, ldr)
+	return nil
+}
+
+// copyR copies the upper triangle of R's k rows into dst (row stride ldr),
+// one tile-row segment per copy: the diagonal tile from the diagonal on,
+// then each tile to its right.
+func (f *Factorization[T]) copyR(dst []T, ldr int) {
 	nb := f.grid.NB
-	for i := 0; i < k; i++ {
+	for i := 0; i < min(f.grid.M, f.grid.N); i++ {
 		ti, li := i/nb, i%nb
-		row := dst[i*ldr : i*ldr+n]
-		for j := i; j < n; j++ {
-			row[j] = f.mat.Tile(ti, j/nb).At(li, j%nb)
+		for tj, j0 := ti, li; tj < f.grid.Q; tj, j0 = tj+1, 0 {
+			u := f.mat.Tile(ti, tj)
+			copy(dst[i*ldr+tj*nb+j0:i*ldr+tj*nb+u.Cols], u.Data[li*u.Stride+j0:li*u.Stride+u.Cols])
 		}
 	}
-	return nil
 }
 
 // Apply overwrites b (m×nrhs) with Qᴴ·b (trans) or Q·b by replaying the
@@ -687,12 +695,11 @@ func (f *Factorization[T]) Apply(ctx context.Context, b *tile.Dense[T], trans bo
 		return fmt.Errorf("tiledqr: ApplyQ: b has %d rows, want %d", b.Rows, f.grid.M)
 	}
 	nrhs := b.Cols
-	ws := f.getWork(kernel.ApplyWorkLen(f.grid.NB, f.ib, max(nrhs, 1)))
-	defer f.putWork(ws)
-	// row returns a view of b's tile row i (1-based).
+	ws := getWork[T](kernel.ApplyWorkLen(f.grid.NB, f.ib, max(nrhs, 1)))
+	defer putWork(ws)
+	// row returns b from the first row of tile row i (1-based) on.
 	row := func(i int) ([]T, int) {
-		v := b.View((i-1)*f.grid.NB, 0, f.grid.TileRows(i-1), nrhs)
-		return v.Data, v.Stride
+		return b.Data[(i-1)*f.grid.NB*b.Stride:], b.Stride
 	}
 	return Replay[T](ctx, f, f.dag, trans, row, nrhs, f.ib, ws)
 }
@@ -724,6 +731,9 @@ func (f *Factorization[T]) ThinQ() *tile.Dense[T] {
 // SolveLS solves the least-squares problem min‖A·x − b‖₂ for each column of
 // b (m×nrhs), returning the n×nrhs solution. Requires m ≥ n and a
 // nonsingular R. A non-nil ctx cancels the Qᴴ·b replay at a task boundary.
+// The cost is O(m·n·nrhs): Qᴴ·b replays the factor kernels' reflectors and
+// the back-substitution reads R in place from the factored tiles, so no
+// n×n copy of R is formed.
 func (f *Factorization[T]) SolveLS(ctx context.Context, b *tile.Dense[T]) (*tile.Dense[T], error) {
 	if err := f.errInvalid("SolveLS"); err != nil {
 		return nil, err
@@ -742,18 +752,33 @@ func (f *Factorization[T]) SolveLS(ctx context.Context, b *tile.Dense[T]) (*tile
 	if err := f.Apply(ctx, qtb, true); err != nil {
 		return nil, err
 	}
-	r := f.R()
 	x := tile.NewDense[T](n, b.Cols)
 	// Row-oriented back-substitution (shared with the streaming path); the
 	// solution column lives in a pooled contiguous scratch until written
 	// back.
-	wbuf := f.getWork(n)
-	defer f.putWork(wbuf)
-	if err := work.SolveUpper(n, b.Cols, r.Data, r.Stride, qtb.Data, qtb.Stride,
-		x.Data, x.Stride, wbuf[:n]); err != nil {
+	xcol := getWork[T](n)
+	defer putWork(xcol)
+	if err := work.SolveUpperRows(n, b.Cols, f.rowDot, qtb.Data, qtb.Stride,
+		x.Data, x.Stride, xcol[:n]); err != nil {
 		return nil, err
 	}
 	return x, nil
+}
+
+// rowDot returns R(i,i) and Σ_{j>i} R(i,j)·x[j] read from the factored
+// tiles: the diagonal tile's row i past the diagonal (the strictly lower
+// V there is never touched), then row i of each tile to its right.
+func (f *Factorization[T]) rowDot(i int, x []T) (diag, dot T) {
+	nb := f.grid.NB
+	ti, li := i/nb, i%nb
+	d := f.mat.Tile(ti, ti)
+	row := d.Data[li*d.Stride : li*d.Stride+d.Cols]
+	dot = vec.Dot(row[li+1:], x[i+1:])
+	for tj := ti + 1; tj < f.grid.Q; tj++ {
+		u := f.mat.Tile(ti, tj)
+		dot += vec.Dot(u.Data[li*u.Stride:li*u.Stride+u.Cols], x[tj*nb:])
+	}
+	return row[li], dot
 }
 
 // Trace returns the execution trace (nil unless Config.Trace was set).

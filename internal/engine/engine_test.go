@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"tiledqr/internal/kernel"
 	"tiledqr/internal/sched"
 	"tiledqr/internal/tile"
+	"tiledqr/internal/work"
 )
 
 func testConfig() Config {
@@ -192,5 +194,57 @@ func TestFailedRefactorInvalidates(t *testing.T) {
 	}
 	if diff := tile.MaxAbsDiff(f.R(), fresh.R()); diff != 0 {
 		t.Errorf("recovered R differs by %g", diff)
+	}
+}
+
+// TestSolveLSRankDeficientError: the in-place tile back-substitution must
+// report an exactly singular R the way the dense solve over R() does. A
+// zero column keeps R(j,j) exactly zero through every kernel; column 13
+// sits inside the second tile column, off the first diagonal tile.
+func TestSolveLSRankDeficientError(t *testing.T) {
+	const m, n, zero = 40, 20, 13
+	a := tile.RandDense[float64](m, n, 1)
+	for i := 0; i < m; i++ {
+		a.Set(i, zero, 0)
+	}
+	f, err := Factor(a, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := tile.RandDense[float64](m, 2, 2)
+	_, err = f.SolveLS(nil, b)
+	if err == nil {
+		t.Fatal("SolveLS accepted a rank-deficient matrix")
+	}
+	r := f.R()
+	want := work.SolveUpper(n, 1, r.Data, r.Stride, b.Data, b.Stride, make([]float64, n), 1, make([]float64, n))
+	if want == nil || err.Error() != want.Error() {
+		t.Fatalf("SolveLS error %q, dense solve over R() reports %v", err, want)
+	}
+	if !strings.Contains(err.Error(), "R(13,13) = 0") {
+		t.Errorf("error %q does not name R(13,13)", err)
+	}
+}
+
+// TestSolveDoesNotPinFactorization: once its last user drops a freshly
+// factored and solved factorization, one GC cycle must free it. Scratch
+// pooled inside the factorization would register it with the runtime's
+// pool list and keep it (and its arena) alive for two more cycles.
+func TestSolveDoesNotPinFactorization(t *testing.T) {
+	f, err := Factor(tile.RandDense[float64](64, 16, 1), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.SolveLS(nil, tile.RandDense[float64](64, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(f, func(*Factorization[float64]) { close(freed) })
+	f = nil
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(time.Second):
+		t.Fatal("factorization still reachable one GC cycle after it was dropped")
 	}
 }

@@ -110,8 +110,14 @@ func geqrt2[T vec.Scalar](m int, a []T, lda, j0, kb int, t []T, ldt int, comb []
 // sweeps are plain matrix products, handed to the packed micro-GEMM when
 // it will take them. The triangular head keeps the scalar sweeps — the
 // diagonal copy/Sub and the ragged column starts don't map onto GEMM.
+// A C narrower than the micro-GEMM register width goes to the
+// row-oriented applyPanelNarrow instead.
 func applyPanel[T vec.Scalar](trans bool, m int, v []T, ldv, r0, vc0, kb int,
 	t []T, ldt, tc0 int, c []T, ldc, cc0, nc int, w, pack []T) {
+	if nc < vec.GemmMinCols {
+		applyPanelNarrow(trans, m, v, ldv, r0, vc0, kb, t, ldt, tc0, c, ldc, cc0, nc, w)
+		return
+	}
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
 	mb := r0 + kb // first bulk row

@@ -114,11 +114,17 @@ func tpqrt2[T vec.Scalar](m, n, l int, a []T, lda int, b []T, ldb, j0, kb int,
 // the column index, so its minimum over the panel is at vc0): both sweeps
 // over that region are plain matrix products, handed to the packed
 // micro-GEMM when it will take them. With l = 0 (the TSMQR shape, the
-// hottest update kernel) that region is all of C2.
+// hottest update kernel) that region is all of C2. A C narrower than the
+// micro-GEMM register width goes to the row-oriented applyPentPanelNarrow
+// instead.
 func applyPentPanel[T vec.Scalar](trans bool, m, l int, v []T, ldv, vc0, kb int,
 	t []T, ldt int,
 	c1 []T, ldc1, c1c0 int,
 	c2 []T, ldc2, c2c0, nc int, w, pack []T) {
+	if nc < vec.GemmMinCols {
+		applyPentPanelNarrow(trans, m, l, v, ldv, vc0, kb, t, ldt, c1, ldc1, c1c0, c2, ldc2, c2c0, nc, w)
+		return
+	}
 	xBlock := xBlockOf[T]()
 	cc := vec.IsComplex[T]()
 	mFull := pentRows(m, l, vc0)

@@ -33,6 +33,11 @@ const (
 	gemmNR32 = 16
 )
 
+// GemmMinCols is the narrowest C (in columns) the packed path accepts: the
+// micro-tile height mr. A narrower C would leave most of every micro-tile
+// padding, so GemmOK declines it and callers use their row-oriented loops.
+const GemmMinCols = gemmMR
+
 // gemmMinWork gates dispatch by m·n·k: below this the packing pass costs
 // more than the vector win. The bound also rejects degenerate shapes, and
 // skinny-C calls (n < mr columns) are declined separately — a 1-column
@@ -79,7 +84,7 @@ func GemmOK[T Scalar](m, n, k, packLen int) bool {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return false
 	}
-	if !simdEnabled.Load() || n < gemmMR || m*n*k < gemmMinWork {
+	if !simdEnabled.Load() || n < GemmMinCols || m*n*k < gemmMinWork {
 		return false
 	}
 	pl := GemmPackLen[T](m, n, k)

@@ -41,11 +41,21 @@ func Workspaces[T any](workers, n int) [][]T {
 // runs over a contiguous row of R via the unconjugated vec.Dot.
 func SolveUpper[T Scalar](n, nrhs int, r []T, ldr int, b []T, ldb int,
 	x []T, ldx int, xcol []T) error {
+	return SolveUpperRows(n, nrhs, func(i int, xcol []T) (T, T) {
+		row := r[i*ldr : i*ldr+n]
+		return row[i], vec.Dot(row[i+1:], xcol[i+1:n])
+	}, b, ldb, x, ldx, xcol)
+}
+
+// SolveUpperRows is SolveUpper for an R reached through rowDot, which
+// returns R(i,i) and Σ_{j>i} R(i,j)·xcol[j] — the form of an R that is not
+// one contiguous array, such as the tiles of a factorization.
+func SolveUpperRows[T Scalar](n, nrhs int, rowDot func(i int, xcol []T) (diag, dot T),
+	b []T, ldb int, x []T, ldx int, xcol []T) error {
 	for c := 0; c < nrhs; c++ {
 		for i := n - 1; i >= 0; i-- {
-			row := r[i*ldr : i*ldr+n]
-			s := b[i*ldb+c] - vec.Dot(row[i+1:], xcol[i+1:n])
-			d := row[i]
+			d, dot := rowDot(i, xcol)
+			s := b[i*ldb+c] - dot
 			if d == 0 {
 				return fmt.Errorf("tiledqr: SolveLS: R(%d,%d) = 0, matrix is rank deficient", i, i)
 			}
