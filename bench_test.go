@@ -13,7 +13,6 @@ import (
 	"tiledqr/internal/core"
 	"tiledqr/internal/kernel"
 	"tiledqr/internal/model"
-	"tiledqr/internal/sched"
 	"tiledqr/internal/sim"
 	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
@@ -327,16 +326,4 @@ func BenchmarkDAGBuild40x40(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.BuildDAG(l, core.TT)
 	}
-}
-
-func BenchmarkSchedulerOverhead(b *testing.B) {
-	// Empty-kernel execution isolates runtime dispatch cost per task.
-	d := core.BuildDAG(core.GreedyList(20, 10), core.TT)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.Run(d, sched.Options{Workers: 2}, func(int32, int) {}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(d.NumTasks()), "tasks/run")
 }

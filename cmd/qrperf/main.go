@@ -666,8 +666,13 @@ func writeKernelsJSON(path string, quick bool) error {
 		die(err)
 	}
 	d := core.BuildDAG(core.GreedyList(20, 10), core.TT)
+	noop := func(int32, *sched.Local) error { return nil }
 	sec := timeIt(func() {
-		if _, err := sched.Run(d, sched.Options{Workers: 2}, func(int32, int) {}); err != nil {
+		// The series times a one-shot 2-worker execution, pool start-up
+		// and shutdown included.
+		rt := sched.NewRuntime(2)
+		defer rt.Close()
+		if _, err := rt.Exec(sched.NewPlan(d), sched.Options{}, noop); err != nil {
 			die(err)
 		}
 	})

@@ -177,18 +177,7 @@ func putBuf(b []byte) {
 }
 
 // precOf returns the BLAS-style precision letter of T, the wire's type tag.
-func precOf[T vec.Scalar]() byte {
-	switch any((*T)(nil)).(type) {
-	case *float32:
-		return 's'
-	case *float64:
-		return 'd'
-	case *complex64:
-		return 'c'
-	default: // *complex128
-		return 'z'
-	}
-}
+func precOf[T vec.Scalar]() byte { return vec.DomainOf[T]().Letter() }
 
 // scalarBytes returns the wire size of one scalar of precision prec, or 0
 // for an unknown tag.

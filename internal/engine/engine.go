@@ -7,14 +7,14 @@
 // float32/float64/complex64/complex128 behind thin typed wrappers;
 // internal/stream reuses ExecTasks/Replay for its resident-triangle merges.
 //
-// Execution placement goes through Env: a shared persistent sched.Runtime
-// (the default — many factorizations, one worker pool), a per-call pool
-// (the legacy mode, kept as the explicit-Workers path and benchmark
-// baseline), or inline on the calling goroutine (Workers == 1, and DAGs too
-// small to be worth a cross-goroutine hop). Kernel workspaces are owned by
-// the workers themselves — one grow-only buffer per arithmetic domain in
-// each worker's sched.Local — so repeated factorizations allocate no
-// scratch.
+// Execution placement is decided here and nowhere else, by Env.run: an
+// explicit sched.Runtime, inline on the calling goroutine (Workers == 1,
+// and the streaming core's DAGs too small to be worth a cross-goroutine
+// hop), a private pool of Workers > 1 workers that is gone when the call
+// returns, or otherwise the process-wide shared runtime. Kernel workspaces
+// are owned by the workers themselves — one grow-only buffer per
+// arithmetic domain in each worker's sched.Local — so repeated
+// factorizations allocate no scratch.
 package engine
 
 import (
@@ -35,11 +35,12 @@ import (
 
 // Env selects where a DAG executes.
 type Env struct {
-	// Runtime, when non-nil, is the shared persistent pool to execute on.
+	// Runtime, when non-nil, is the persistent pool to execute on.
 	Runtime *sched.Runtime
-	// Workers is honored only when Runtime is nil: a per-call pool of that
-	// size is built and torn down around the execution (0 = GOMAXPROCS);
-	// Workers == 1 runs inline on the calling goroutine, deterministically.
+	// Workers is honored only when Runtime is nil: 1 runs inline on the
+	// calling goroutine, deterministically; n > 1 builds a private pool of
+	// n workers and closes it before the run returns; anything else runs
+	// on the shared sched.Default runtime.
 	Workers int
 }
 
@@ -63,66 +64,49 @@ type RunOpts struct {
 	Stats *sched.JobStats
 }
 
-// run executes the plan's DAG under the Env's placement policy.
+// run executes the plan's DAG under the Env's placement rule.
 func (e Env) run(p *sched.Plan, opts RunOpts, exec sched.Exec) (*sched.Trace, error) {
-	if e.Runtime != nil {
-		return e.Runtime.Exec(p, sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}, exec)
+	so := sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}
+	switch {
+	case e.Runtime != nil:
+		return e.Runtime.Exec(p, so, exec)
+	case e.Workers == 1:
+		return sched.RunInline(p, so, exec)
+	case e.Workers > 1:
+		rt := sched.NewRuntime(e.Workers)
+		defer rt.Close()
+		return rt.Exec(p, so, exec)
 	}
-	if work.WorkersOrDefault(e.Workers) == 1 {
-		tr, err := sched.RunInline(opts.Ctx, p.DAG(), opts.Trace, exec)
-		if opts.Stats != nil {
-			// Inline runs have no idle worker time: busy equals wall.
-			*opts.Stats = sched.JobStats{Tasks: int64(p.DAG().NumTasks()), Busy: tr.Elapsed, Wall: tr.Elapsed}
-		}
-		return tr, err
-	}
-	rt := sched.NewRuntime(e.Workers)
-	defer rt.Close()
-	return rt.Exec(p, sched.Options{Trace: opts.Trace, Ctx: opts.Ctx, Stats: opts.Stats}, exec)
+	return sched.Default().Exec(p, so, exec)
 }
 
-// wsSlot maps a scalar type to its sched.Local slot: one kernel workspace
-// per arithmetic domain per worker.
-func wsSlot[T vec.Scalar]() int {
-	switch any((*T)(nil)).(type) {
-	case *float32:
-		return 0
-	case *float64:
-		return 1
-	case *complex64:
-		return 2
-	default: // *complex128
-		return 3
+// Width returns the number of workers a run under e executes on — the
+// processor count the autotuner's schedule model needs. It never starts
+// the shared runtime: for the default placement it reports that
+// runtime's sizing, sched.DefaultWorkers.
+func (e Env) Width() int {
+	switch {
+	case e.Runtime != nil:
+		return e.Runtime.Workers()
+	case e.Workers > 0:
+		return e.Workers
 	}
+	return sched.DefaultWorkers()
 }
 
 // WorkerWS returns worker-local kernel scratch of length n, growing the
-// worker's cached buffer when a larger factorization comes through. Only
+// worker's cached buffer when a larger factorization comes through; slot
+// vec.DomainOf[T] keeps one workspace per arithmetic domain. Only
 // the owning worker touches a Local, so no synchronization is needed, and
 // steady-state executions allocate nothing here.
 func WorkerWS[T vec.Scalar](loc *sched.Local, n int) []T {
-	s := &loc.Slots[wsSlot[T]()]
+	s := &loc.Slots[vec.DomainOf[T]()]
 	if ws, ok := (*s).([]T); ok && cap(ws) >= n {
 		return ws[:n]
 	}
 	ws := make([]T, n)
 	*s = ws
 	return ws
-}
-
-// precName maps a scalar type to its BLAS-style precision letter, the
-// identity the fault injector and diagnostics use.
-func precName[T vec.Scalar]() string {
-	switch any((*T)(nil)).(type) {
-	case *float32:
-		return "s"
-	case *float64:
-		return "d"
-	case *complex64:
-		return "c"
-	default: // *complex128
-		return "z"
-	}
 }
 
 // Config carries the resolved factorization parameters from the public
@@ -245,15 +229,16 @@ func checkTask[T vec.Scalar](src Source[T], task core.Task) error {
 // panics here — the scheduler's containment turns it into a job error —
 // and ModeStall sleeps before the kernel executes.
 func injectFault[T vec.Scalar](task core.Task) (bool, error) {
-	act, hit := fault.Check(task.Kind, precName[T]())
+	prec := string(vec.DomainOf[T]().Letter())
+	act, hit := fault.Check(task.Kind, prec)
 	if !hit {
 		return false, nil
 	}
 	switch act.Mode {
 	case fault.ModeError:
-		return false, fault.Errorf(task.Kind, precName[T]())
+		return false, fault.Errorf(task.Kind, prec)
 	case fault.ModePanic:
-		panic(fault.PanicMsg(task.Kind, precName[T]()))
+		panic(fault.PanicMsg(task.Kind, prec))
 	case fault.ModeStall:
 		time.Sleep(act.Stall)
 	case fault.ModeNaN:
@@ -592,7 +577,7 @@ func (f *Factorization[T]) T2Factor(i, k int) []T { return f.t2[f.tidx(i, k)] }
 func (f *Factorization[T]) KCols(k int) int { return f.grid.TileCols(k - 1) }
 
 // workPools holds the ApplyQ/ApplyQT/SolveLS scratch slices, one
-// sync.Pool per scalar domain (slotted like the worker workspaces),
+// sync.Pool per scalar domain (indexed by vec.DomainOf),
 // shared by every factorization. The pools live at package level on
 // purpose: a sync.Pool embedded in a Factorization is registered with the
 // runtime by address on first use, and that interior pointer keeps the
@@ -603,14 +588,14 @@ var workPools [4]sync.Pool
 // getWork fetches a pooled scratch slice of at least n elements; putWork
 // returns it. Steady-state Q applications allocate nothing.
 func getWork[T vec.Scalar](n int) []T {
-	if w, ok := workPools[wsSlot[T]()].Get().(*[]T); ok && len(*w) >= n {
+	if w, ok := workPools[vec.DomainOf[T]()].Get().(*[]T); ok && len(*w) >= n {
 		return *w
 	}
 	return make([]T, n)
 }
 
 func putWork[T vec.Scalar](w []T) {
-	workPools[wsSlot[T]()].Put(&w)
+	workPools[vec.DomainOf[T]()].Put(&w)
 }
 
 // errInvalid is the state guard shared by every factor accessor: a failed

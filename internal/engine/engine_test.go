@@ -57,6 +57,36 @@ func TestUnknownTaskKindReturnsError(t *testing.T) {
 	}
 }
 
+// TestInlineStatsCountExecutedTasks: an inline run reports the tasks it
+// actually executed, as a pool run does — a failed run fewer than the DAG
+// has, a completed one all of them, with its busy time inside its wall
+// clock.
+func TestInlineStatsCountExecutedTasks(t *testing.T) {
+	var js sched.JobStats
+	cfg := testConfig()
+	cfg.Stats = &js
+	f, err := Factor(tile.RandDense[float64](40, 24, 2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.DAG()
+	if js.Tasks != int64(d.NumTasks()) || js.Busy > js.Wall {
+		t.Errorf("completed inline run: stats %+v, want Tasks = %d and Busy ≤ Wall", js, d.NumTasks())
+	}
+
+	saved := d.Tasks[0].Kind
+	d.Tasks[0].Kind = core.Kind(99)
+	defer func() { d.Tasks[0].Kind = saved }()
+	js = sched.JobStats{}
+	if _, err := ExecTasks[float64](f, sched.NewPlan(d), Env{Workers: 1},
+		RunOpts{Stats: &js}, 4, kernel.WorkLen(8, 4)); err == nil {
+		t.Fatal("corrupted DAG ran to completion")
+	}
+	if js.Tasks >= int64(d.NumTasks()) {
+		t.Errorf("failed inline run reports %d of %d tasks executed", js.Tasks, d.NumTasks())
+	}
+}
+
 // TestDispatchErrorCancelsRun: a task error must cancel the job's
 // outstanding tasks — the scheduler must not drain the rest of the DAG
 // before reporting, and no task may still be executing once Exec has

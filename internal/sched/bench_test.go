@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ func BenchmarkRunDispatch(b *testing.B) {
 	for _, workers := range []int{2, 4} {
 		b.Run(map[int]string{2: "workers=2", 4: "workers=4"}[workers], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(d, Options{Workers: workers}, func(int32, int) {}); err != nil {
+				if _, err := runDAG(d, workers, Options{}, func(int32, int) {}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -36,7 +37,7 @@ func BenchmarkRunWeightedDAG(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(d, Options{}, busy); err != nil {
+		if _, err := runDAG(d, runtime.GOMAXPROCS(0), Options{}, busy); err != nil {
 			b.Fatal(err)
 		}
 	}

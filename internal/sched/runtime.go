@@ -568,19 +568,9 @@ func (rt *Runtime) Exec(p *Plan, opt Options, exec Exec) (*Trace, error) {
 	if n == 0 {
 		return &Trace{Workers: rt.workers}, nil
 	}
-	j := &job{
-		plan:    p,
-		exec:    exec,
-		seq:     rt.seq.Add(1),
-		trace:   opt.Trace,
-		statsOn: opt.Stats != nil,
-		start:   time.Now(),
-		done:    make(chan struct{}),
-	}
-	j.remaining.Store(int64(n))
-	if opt.Trace {
-		j.spans = make([]Span, 0, n)
-	}
+	j := newJob(p, opt, exec)
+	j.seq = rt.seq.Add(1)
+	j.done = make(chan struct{})
 	// Admit at the pool's minimum active virtual time (the CFS floor): a
 	// new job gets ahead of everything that has already consumed more
 	// work, but a sustained stream of fresh small jobs cannot pin a
@@ -637,20 +627,7 @@ func (rt *Runtime) Exec(p *Plan, opt Options, exec Exec) (*Trace, error) {
 			<-j.done
 		}
 	}
-	tr := &Trace{Workers: rt.workers, Elapsed: time.Since(j.start)}
-	if opt.Trace {
-		j.spansMu.Lock()
-		tr.Spans = j.spans
-		j.spansMu.Unlock()
-	}
-	if opt.Stats != nil {
-		*opt.Stats = JobStats{
-			Tasks: j.ran.Load(),
-			Busy:  time.Duration(j.busyNS.Load()),
-			Wall:  tr.Elapsed,
-		}
-	}
-	return tr, j.loadErr()
+	return j.finish(rt.workers, opt)
 }
 
 // scan tries the worker's own deque (fair order), then steals a leaf from
@@ -749,8 +726,41 @@ func (rt *Runtime) runOne(j *job, t int32, loc *Local, self *deque) {
 	}
 }
 
-// runTask executes one task, converting panics into errors and recording a
-// span when tracing.
+// newJob prepares one execution of the plan's DAG: the per-job state both
+// executors share (first error, spans, busy-time accounting).
+func newJob(p *Plan, opt Options, exec Exec) *job {
+	n := p.d.NumTasks()
+	j := &job{plan: p, exec: exec, trace: opt.Trace, statsOn: opt.Stats != nil, start: time.Now()}
+	j.remaining.Store(int64(n))
+	if opt.Trace {
+		j.spans = make([]Span, 0, n)
+	}
+	return j
+}
+
+// finish reports a job that has stopped on workers workers: its trace
+// (Spans only when traced), its accounting into opt.Stats, and its first
+// error.
+func (j *job) finish(workers int, opt Options) (*Trace, error) {
+	tr := &Trace{Workers: workers, Elapsed: time.Since(j.start)}
+	if opt.Trace {
+		j.spansMu.Lock()
+		tr.Spans = j.spans
+		j.spansMu.Unlock()
+	}
+	if opt.Stats != nil {
+		*opt.Stats = JobStats{
+			Tasks: j.ran.Load(),
+			Busy:  time.Duration(j.busyNS.Load()),
+			Wall:  tr.Elapsed,
+		}
+	}
+	return tr, j.loadErr()
+}
+
+// runTask executes one task — the per-task body of both executors —
+// converting panics into errors naming the task and recording busy time
+// and a span when stats or tracing are on.
 func (j *job) runTask(t int32, loc *Local) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -778,55 +788,38 @@ func (j *job) runTask(t int32, loc *Local) (err error) {
 // inlineLocals lends Local boxes to inline (caller-goroutine) runs.
 var inlineLocals = sync.Pool{New: func() any { return &Local{} }}
 
-// RunInline executes every task of the DAG sequentially in topological
-// (ID) order on the calling goroutine: the deterministic Workers == 1 path,
-// also used for DAGs too small to be worth a cross-goroutine hop. Stops at
-// the first task error or panic, and — when ctx is non-nil — at the first
-// task boundary after ctx is done, returning ctx.Err(). A nil (or
-// never-canceled background) ctx costs nothing per task.
-func RunInline(ctx context.Context, d *core.DAG, trace bool, exec Exec) (*Trace, error) {
+// RunInline executes every task of the plan's DAG sequentially in
+// topological (ID) order on the calling goroutine: the deterministic
+// single-worker executor, also used for DAGs too small to be worth a
+// cross-goroutine hop. It takes Exec's arguments and reports the same way
+// (trace, Options.Stats, first error), running each task through the pool
+// workers' body. It stops at the first task error or panic and, when
+// opt.Ctx is non-nil, at the first task boundary after the context is
+// done, returning ctx.Err(); a context that is already done runs nothing.
+func RunInline(p *Plan, opt Options, exec Exec) (*Trace, error) {
+	var cancelCh <-chan struct{}
+	if opt.Ctx != nil {
+		if err := opt.Ctx.Err(); err != nil {
+			return nil, err
+		}
+		cancelCh = opt.Ctx.Done()
+	}
 	loc := inlineLocals.Get().(*Local)
 	defer inlineLocals.Put(loc)
-	var cancelCh <-chan struct{}
-	if ctx != nil {
-		cancelCh = ctx.Done()
-	}
-	start := time.Now()
-	tr := &Trace{Workers: 1}
-	if trace {
-		tr.Spans = make([]Span, 0, d.NumTasks())
-	}
-	for t := 0; t < d.NumTasks(); t++ {
+	j := newJob(p, opt, exec)
+	for t := range int32(p.d.NumTasks()) {
 		if cancelCh != nil {
 			select {
 			case <-cancelCh:
-				tr.Elapsed = time.Since(start)
-				return tr, ctx.Err()
+				j.fail(opt.Ctx.Err())
+				return j.finish(1, opt)
 			default:
 			}
 		}
-		var t0 time.Duration
-		if trace {
-			t0 = time.Since(start)
-		}
-		if err := runInlineTask(d, int32(t), loc, exec); err != nil {
-			tr.Elapsed = time.Since(start)
-			return tr, err
-		}
-		if trace {
-			tr.Spans = append(tr.Spans, Span{Task: int32(t), Worker: 0, Start: t0, End: time.Since(start)})
+		if err := j.runTask(t, loc); err != nil {
+			j.fail(err)
+			break
 		}
 	}
-	tr.Elapsed = time.Since(start)
-	return tr, nil
-}
-
-// runInlineTask runs one task inline, converting panics into errors.
-func runInlineTask(d *core.DAG, t int32, loc *Local, exec Exec) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: task %v panicked: %v", d.Tasks[t], r)
-		}
-	}()
-	return exec(t, loc)
+	return j.finish(1, opt)
 }

@@ -67,7 +67,7 @@ func Resolve[T vec.Scalar](req Request) (Candidate, error) {
 	if req.Workers < 1 {
 		req.Workers = runtime.GOMAXPROCS(0)
 	}
-	key := decKey{prec: precKey[T](), family: vec.ActiveFamily(),
+	key := decKey{prec: vec.DomainOf[T]().String(), family: vec.ActiveFamily(),
 		m: req.M, n: req.N, workers: req.Workers,
 		pinNB: req.PinNB, pinIB: req.PinIB}
 	if c, ok := decided.Load(key); ok {
@@ -158,7 +158,7 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int, fam core.Kernels)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	family := vec.ActiveFamily()
-	key := decKey{prec: precKey[T](), family: family, stream: true, kernels: fam,
+	key := decKey{prec: vec.DomainOf[T]().String(), family: family, stream: true, kernels: fam,
 		n: n, workers: workers, pinNB: pinNB, pinIB: pinIB}
 	if c, ok := decided.Load(key); ok {
 		return c.(Candidate), nil

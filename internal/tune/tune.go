@@ -117,20 +117,6 @@ func Reset() {
 	})
 }
 
-// precKey names a scalar domain in the calibration file.
-func precKey[T vec.Scalar]() string {
-	switch any((*T)(nil)).(type) {
-	case *float32:
-		return "float32"
-	case *float64:
-		return "float64"
-	case *complex64:
-		return "complex64"
-	default:
-		return "complex128"
-	}
-}
-
 // ForPrecision returns the calibration points of T's domain for the kernel
 // family the vec primitives currently dispatch to, measuring them on first
 // use. Concurrent first uses are single-flighted; the winner persists the
@@ -151,7 +137,7 @@ func ForFamily[T vec.Scalar](family string) []Point {
 	if family == vec.FamilySIMD && !vec.SIMDSupported() {
 		family = vec.FamilyGeneric
 	}
-	prec := precKey[T]()
+	prec := vec.DomainOf[T]().String()
 	key := family + "/" + prec
 	calMu.Lock()
 	e := calBy[key]

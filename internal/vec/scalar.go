@@ -20,6 +20,45 @@ type Scalar interface {
 	float32 | float64 | complex64 | complex128
 }
 
+// Domain indexes the four arithmetic domains, in BLAS order s, d, c, z.
+// It is the one scalar-type switch the layers above share: a slot in
+// per-domain tables (worker workspaces, scratch pools), the precision
+// letter of the fault injector and the distributed wire, and the name of a
+// domain in the persisted calibration.
+type Domain int
+
+const (
+	Float32 Domain = iota
+	Float64
+	Complex64
+	Complex128
+)
+
+// DomainOf returns T's domain.
+func DomainOf[T Scalar]() Domain {
+	switch any((*T)(nil)).(type) {
+	case *float32:
+		return Float32
+	case *float64:
+		return Float64
+	case *complex64:
+		return Complex64
+	default: // *complex128
+		return Complex128
+	}
+}
+
+// Letter returns the BLAS-style precision letter of the domain: 's', 'd',
+// 'c' or 'z'.
+func (d Domain) Letter() byte { return "sdcz"[d] }
+
+// String returns the Go name of the domain's scalar type ("float64", …).
+// These names and the Letter tags are external formats (calibration file
+// keys, wire frame tags, TILEDQR_FAULT precisions), so they never change.
+func (d Domain) String() string {
+	return [...]string{"float32", "float64", "complex64", "complex128"}[d]
+}
+
 // Conj returns the complex conjugate of v; for real types it is the
 // identity. Fusing conjugation into the shared kernels this way is what
 // lets one implementation serve both Householder conventions (H = I − τvvᵀ

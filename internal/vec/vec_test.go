@@ -49,6 +49,16 @@ func almostEq(a, b float64) bool {
 	return d <= 1e-12*math.Max(scale, 1)
 }
 
+// TestDomainTags pins the external names of the four domains.
+func TestDomainTags(t *testing.T) {
+	got := []Domain{DomainOf[float32](), DomainOf[float64](), DomainOf[complex64](), DomainOf[complex128]()}
+	for i, want := range []string{"s float32", "d float64", "c complex64", "z complex128"} {
+		if s := string(got[i].Letter()) + " " + got[i].String(); s != want || got[i] != Domain(i) {
+			t.Errorf("domain %d: %q, want %q", i, s, want)
+		}
+	}
+}
+
 func TestDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range lengths {

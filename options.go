@@ -5,7 +5,6 @@ import (
 
 	"tiledqr/internal/core"
 	"tiledqr/internal/engine"
-	"tiledqr/internal/sched"
 	"tiledqr/internal/tune"
 	"tiledqr/internal/vec"
 )
@@ -204,17 +203,16 @@ func (o Options) WithRuntime(rt *Runtime) Options {
 	return o
 }
 
-// execEnv resolves the execution placement: an explicit runtime wins, an
-// explicit worker count selects a per-call pool, and the default is the
-// process-wide shared runtime.
+// execEnv hands the placement options to the engine, whose Env alone
+// decides where the DAG runs: Runtime wins, Workers == 1 runs inline,
+// Workers > 1 gets a private pool, and otherwise the call shares the
+// process-wide runtime.
 func (o Options) execEnv() engine.Env {
+	env := engine.Env{Workers: o.Workers}
 	if o.Runtime != nil {
-		return engine.Env{Runtime: o.Runtime.s}
+		env.Runtime = o.Runtime.s
 	}
-	if o.Workers > 0 {
-		return engine.Env{Workers: o.Workers}
-	}
-	return engine.Env{Runtime: sched.Default()}
+	return env
 }
 
 // DefaultTileSize and DefaultInnerBlock are the defaults applied by
@@ -269,21 +267,6 @@ func (o Options) validateStream() error {
 	return nil
 }
 
-// autoWidth returns the execution width a factorization under these
-// options will actually run at — the quantity the autotuner's
-// bounded-processor schedule model needs. It must not spin up the default
-// runtime as a side effect, so the default case reports the default
-// runtime's sizing (TILEDQR_WORKERS if set, else GOMAXPROCS) directly.
-func (o Options) autoWidth() int {
-	if o.Runtime != nil {
-		return o.Runtime.Workers()
-	}
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return sched.DefaultWorkers()
-}
-
 // resolveAuto turns AlgorithmAuto into a concrete (algorithm, kernel
 // family, tile size, inner block) tuple for an m×n factorization in T's
 // domain, honoring pinned nonzero TileSize/InnerBlock. Non-auto options
@@ -304,7 +287,7 @@ func resolveAuto[T vec.Scalar](m, n int, opt Options) (Options, error) {
 	}
 	dec, err := tune.Resolve[T](tune.Request{
 		M: m, N: n,
-		Workers: opt.autoWidth(),
+		Workers: opt.execEnv().Width(),
 		PinNB:   opt.TileSize,
 		PinIB:   opt.InnerBlock,
 	})

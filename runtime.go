@@ -20,9 +20,9 @@ import (
 // Options.Workers zero, calls share the process-wide DefaultRuntime.
 // Construct a dedicated Runtime to bound a subsystem's parallelism or to
 // isolate latency-sensitive work, and Close it when done. Setting
-// Options.Workers > 1 instead opts out of sharing entirely: a private pool
-// is built and torn down around that one call (the pre-runtime behavior,
-// kept as the benchmark baseline).
+// Options.Workers instead opts out of sharing for one call:
+// Workers == 1 runs it inline on the calling goroutine, and Workers > 1
+// gives it a private pool of that size, closed before the call returns.
 type Runtime struct {
 	s *sched.Runtime
 }

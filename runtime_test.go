@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// refR computes the reference R with the legacy per-call pool — the
+// refR computes the reference R on a private per-call pool — the
 // baseline the shared runtime must reproduce bit-identically (same DAG,
 // same dataflow, so every float is determined regardless of schedule).
 func refR(a *Dense, opt Options) *Dense {
@@ -306,6 +306,29 @@ func TestNegativeWorkersUsesSharedRuntime(t *testing.T) {
 	}
 	if !equalData(f.R().Data, refR(a, Options{TileSize: 8, InnerBlock: 4}).Data) {
 		t.Error("Workers: -1 R differs from default execution")
+	}
+}
+
+// TestPrivatePoolContract: Workers > 1 runs on a private pool of exactly
+// that many workers that is gone when the call returns, and Workers: 1
+// runs inline on one worker — whether or not the shared runtime is up.
+func TestPrivatePoolContract(t *testing.T) {
+	a := RandomDense(40, 24, 6)
+	before := runtime.NumGoroutine()
+	f, err := Factor(a, Options{TileSize: 8, InnerBlock: 4, Workers: 3, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoGoroutineLeak(t, before)
+	if n := len(f.Utilization().PerWorker); n != 3 {
+		t.Errorf("Workers: 3 traced %d workers, want 3", n)
+	}
+	f1, err := Factor(a, Options{TileSize: 8, InnerBlock: 4, Workers: 1, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(f1.Utilization().PerWorker); n != 1 {
+		t.Errorf("Workers: 1 traced %d workers, want 1", n)
 	}
 }
 

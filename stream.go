@@ -33,7 +33,7 @@ func newStreamCore[T vec.Scalar](n int, opt Options) (*stream.Core[T], error) {
 				return nil, err
 			}
 		}
-		dec, err := tune.ResolveStream[T](n, opt.autoWidth(),
+		dec, err := tune.ResolveStream[T](n, opt.execEnv().Width(),
 			opt.TileSize, opt.InnerBlock, opt.Kernels.core())
 		if err != nil {
 			return nil, err
