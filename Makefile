@@ -105,12 +105,13 @@ throughput:
 	$(GO) run ./cmd/qrperf -throughput
 
 # bench-smoke is the CI-sized benchmark run: one iteration of the kernel and
-# streaming figures, a tiny qrstream ingestion with verification (plain and
-# sliding-window/forgetting modes), and short fleet sweeps (factorization
-# throughput and windowed-stream ingestion), to prove the harnesses still
-# work.
+# streaming figures, a one-size Figure 4–5 kernel sweep (qrkernels), a tiny
+# qrstream ingestion with verification (plain and sliding-window/forgetting
+# modes), and short fleet sweeps (factorization throughput and
+# windowed-stream ingestion), to prove the harnesses still work.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure4|StreamAppendDouble$$' -benchtime 1x ./...
+	$(GO) run ./cmd/qrkernels -sizes 32 -prec d,z
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 6 -rhs 1 -verify
 	$(GO) run ./cmd/qrstream -n 96 -nb 32 -batch 64 -batches 8 -rhs 1 -window 192 -forget 0.99 -verify
 	$(GO) run ./cmd/qrperf -throughput -quick

@@ -11,10 +11,9 @@ import (
 	"testing"
 
 	"tiledqr/internal/core"
-	"tiledqr/internal/kernel"
 	"tiledqr/internal/model"
 	"tiledqr/internal/sim"
-	"tiledqr/internal/tile"
+	"tiledqr/internal/tune"
 	"tiledqr/internal/vec"
 )
 
@@ -103,46 +102,23 @@ func BenchmarkFigure6ListScheduling48Workers(b *testing.B) {
 // --- Figures 4–5: sequential kernel speeds ---------------------------------------
 
 // benchFigureKernels reports GFLOP/s for the six tile kernels plus GEMM at
-// the benchmark shape, for one scalar domain of the generic kernels
-// (4 real flops per complex flop, as in the paper).
+// the benchmark shape, for one scalar domain (4 real flops per complex
+// flop, as in the paper), on the shared in-cache timing fixture: each call
+// runs on restored inputs, and the restore runs outside the timer.
 func benchFigureKernels[T vec.Scalar](b *testing.B, prefix string) {
 	const nb, ib = 128, 32
-	flopScale := 1.0
-	if vec.IsComplex[T]() {
-		flopScale = 4
-	}
-	tri := tile.RandDense[T](nb, nb, 1)
-	tf := make([]T, ib*nb)
-	t2 := make([]T, ib*nb)
-	work := make([]T, kernel.WorkLen(nb, ib))
-	kernel.GEQRT(nb, nb, ib, tri.Data, tri.Stride, tf, nb, work)
-	full := tile.RandDense[T](nb, nb, 2)
-	c1 := tile.RandDense[T](nb, nb, 3)
-	c2 := tile.RandDense[T](nb, nb, 4)
-	vtt := tile.RandDense[T](nb, nb, 5)
-	kernel.GEQRT(nb, nb, ib, vtt.Data, nb, tf, nb, work)
-	kernel.TTQRT(nb, nb, ib, tri.Clone().Data, nb, vtt.Data, nb, t2, nb, work)
-	cases := []struct {
-		name   string
-		weight int
-		f      func()
-	}{
-		{"GEQRT", 4, func() { kernel.GEQRT(nb, nb, ib, full.Clone().Data, nb, tf, nb, work) }},
-		{"UNMQR", 6, func() { kernel.UNMQR(true, nb, nb, ib, tri.Data, nb, tf, nb, c1.Data, nb, nb, work) }},
-		{"TSQRT", 6, func() { kernel.TSQRT(nb, nb, ib, tri.Clone().Data, nb, full.Clone().Data, nb, t2, nb, work) }},
-		{"TSMQR", 12, func() { kernel.TSMQR(true, nb, nb, ib, full.Data, nb, t2, nb, c1.Data, nb, c2.Data, nb, nb, work) }},
-		{"TTQRT", 2, func() { kernel.TTQRT(nb, nb, ib, tri.Clone().Data, nb, vtt.Clone().Data, nb, t2, nb, work) }},
-		{"TTMQR", 6, func() { kernel.TTMQR(true, nb, nb, ib, vtt.Data, nb, t2, nb, c1.Data, nb, c2.Data, nb, nb, work) }},
-		{"GEMM", 6, func() { kernel.GEMM(nb, nb, nb, full.Data, nb, c1.Data, nb, c2.Data, nb, work) }},
-	}
-	for _, c := range cases {
-		b.Run(prefix+c.name, func(b *testing.B) {
+	fx := tune.NewFixture[T](nb, ib, 1)
+	for k := range tune.NumKernels {
+		b.Run(prefix+k.String(), func(b *testing.B) {
+			fx.Restore(k, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.f()
+				fx.Call(k, 0)
+				b.StopTimer()
+				fx.Restore(k, 0)
+				b.StartTimer()
 			}
-			flops := flopScale * float64(c.weight) * float64(nb*nb*nb) / 3
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			b.ReportMetric(tune.Gflops[T](k, nb, b.Elapsed().Seconds()/float64(b.N)), "GFLOP/s")
 		})
 	}
 }

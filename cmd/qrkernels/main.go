@@ -12,6 +12,8 @@
 // In-cache follows the No-Flush strategy (repeatedly time the same tiles);
 // out-of-cache cycles over a working set larger than the last-level cache
 // (MultCallFlushLRU), per Whaley & Castaldo [17] and Agullo et al. [1].
+// Both run on internal/tune's kernel-timing fixture: every call is timed
+// alone on restored valid inputs and each figure is the median per call.
 //
 // The paper's figures use double (d) and double complex (z); -prec also
 // accepts the single-precision pair (s, c) the generic kernels open up.
@@ -25,8 +27,8 @@ import (
 	"time"
 	"unsafe"
 
-	"tiledqr/internal/kernel"
-	"tiledqr/internal/tile"
+	"tiledqr/internal/core"
+	"tiledqr/internal/tune"
 	"tiledqr/internal/vec"
 )
 
@@ -108,33 +110,29 @@ type row struct {
 	pairFactor, pairUpdate                         float64
 }
 
-// measureRow measures every kernel at one tile size. For out-of-cache runs
-// the tile pool exceeds the configured cache size so that each call starts
-// from cold tiles.
+// measureRow measures every kernel at one tile size on the shared timing
+// fixture. For out-of-cache runs the fixture's pool of tile sets exceeds
+// the configured cache size so that each call starts from cold tiles.
 func measureRow[T vec.Scalar](nb, ib int, outOfCache bool) row {
 	var z T
-	elem := int(unsafe.Sizeof(z))
 	np := 1
 	if outOfCache {
-		bytesPerSet := 4 * nb * nb * elem // the ~4 tiles a call touches
+		bytesPerSet := 4 * nb * nb * int(unsafe.Sizeof(z)) // the ~4 tiles a call touches
 		np = (*flagCache)*1024*1024/bytesPerSet + 2
 	}
-	flopScale := 1.0
-	if vec.IsComplex[T]() {
-		flopScale = 4
+	fx := tune.NewFixture[T](nb, ib, np)
+	gflops := func(k tune.Kernel) float64 {
+		return tune.Gflops[T](k, nb, fx.Median(k, 200*time.Millisecond, *flagReps))
 	}
-	var r row
-	gflops := func(weight int, sec float64) float64 {
-		return flopScale * kernelFlops(weight, nb) / sec / 1e9
+	r := row{
+		geqrt: gflops(tune.Kernel(core.KGEQRT)),
+		unmqr: gflops(tune.Kernel(core.KUNMQR)),
+		tsqrt: gflops(tune.Kernel(core.KTSQRT)),
+		tsmqr: gflops(tune.Kernel(core.KTSMQR)),
+		ttqrt: gflops(tune.Kernel(core.KTTQRT)),
+		ttmqr: gflops(tune.Kernel(core.KTTMQR)),
+		gemm:  gflops(tune.GEMM),
 	}
-	m := newPool[T](nb, np)
-	r.geqrt = gflops(4, m.time(func(i int) { m.geqrt(i) }))
-	r.unmqr = gflops(6, m.time(func(i int) { m.unmqr(i) }))
-	r.tsqrt = gflops(6, m.time(func(i int) { m.tsqrt(i) }))
-	r.tsmqr = gflops(12, m.time(func(i int) { m.tsmqr(i) }))
-	r.ttqrt = gflops(2, m.time(func(i int) { m.ttqrt(i) }))
-	r.ttmqr = gflops(6, m.time(func(i int) { m.ttmqr(i) }))
-	r.gemm = gflops(6, m.time(func(i int) { m.gemm(i) })) // 2nb³ flops = weight 6
 	// A TT algorithm needs GEQRT+TTQRT to do one TSQRT's job: aggregate
 	// rate = combined flops / combined time.
 	fG, fT2 := kernelFlops(4, nb), kernelFlops(2, nb)
@@ -142,101 +140,6 @@ func measureRow[T vec.Scalar](nb, ib int, outOfCache bool) row {
 	fU, fTT := kernelFlops(6, nb), kernelFlops(6, nb)
 	r.pairUpdate = (fU + fTT) / (fU/r.unmqr + fTT/r.ttmqr)
 	return r
-}
-
-// pool owns reusable tile sets for the kernel measurements of one scalar
-// domain — one generic pool instead of the former float64/complex128
-// mirror pair.
-type pool[T vec.Scalar] struct {
-	nb, ib int
-	aTri   []*tile.Dense[T] // triangular tops (post-GEQRT)
-	full   []*tile.Dense[T]
-	c1, c2 []*tile.Dense[T]
-	vTS    []*tile.Dense[T] // TSQRT reflectors
-	vTT    []*tile.Dense[T] // TTQRT reflectors (triangular)
-	tf, t2 []T
-	work   []T
-	reps   int
-}
-
-func newPool[T vec.Scalar](nb, np int) *pool[T] {
-	ib := *flagIB
-	p := &pool[T]{nb: nb, ib: ib,
-		tf: make([]T, ib*nb), t2: make([]T, ib*nb),
-		work: make([]T, kernel.WorkLen(nb, ib)),
-	}
-	for i := 0; i < np; i++ {
-		tri := tile.RandDense[T](nb, nb, int64(i))
-		kernel.GEQRT(nb, nb, ib, tri.Data, tri.Stride, p.tf, nb, p.work)
-		p.aTri = append(p.aTri, tri)
-		p.full = append(p.full, tile.RandDense[T](nb, nb, int64(1000+i)))
-		p.c1 = append(p.c1, tile.RandDense[T](nb, nb, int64(2000+i)))
-		p.c2 = append(p.c2, tile.RandDense[T](nb, nb, int64(3000+i)))
-		vts := tile.RandDense[T](nb, nb, int64(4000+i))
-		kernel.TSQRT(nb, nb, ib, tri.Clone().Data, nb, vts.Data, nb, p.t2, nb, p.work)
-		p.vTS = append(p.vTS, vts)
-		vtt := tile.RandDense[T](nb, nb, int64(5000+i))
-		kernel.GEQRT(nb, nb, ib, vtt.Data, nb, p.tf, nb, p.work)
-		kernel.TTQRT(nb, nb, ib, tri.Clone().Data, nb, vtt.Data, nb, p.t2, nb, p.work)
-		p.vTT = append(p.vTT, vtt)
-	}
-	// Aim for ~100 MFLOP per measurement (complex kernels carry 4× the
-	// flops per element, so they reach it in fewer reps anyway).
-	flopsPerCall := 2 * float64(nb) * float64(nb) * float64(nb)
-	if vec.IsComplex[T]() {
-		flopsPerCall *= 4
-	}
-	p.reps = 1 + int(1e8/flopsPerCall)
-	if p.reps < *flagReps {
-		p.reps = *flagReps
-	}
-	if np > 1 && p.reps < np {
-		p.reps = np // touch the whole pool at least once
-	}
-	return p
-}
-
-func (p *pool[T]) time(f func(i int)) float64 {
-	return measureLoop(p.reps, len(p.aTri), f)
-}
-
-// measureLoop runs f in batches of reps calls until at least 200 ms have
-// been sampled, returning seconds per call; this keeps the cheap kernels
-// (TTQRT is 3× shorter than GEQRT) out of timer-resolution noise.
-func measureLoop(reps, np int, f func(i int)) float64 {
-	total := 0
-	start := time.Now()
-	for {
-		for r := 0; r < reps; r++ {
-			f((total + r) % np)
-		}
-		total += reps
-		if time.Since(start) >= 200*time.Millisecond {
-			return time.Since(start).Seconds() / float64(total)
-		}
-	}
-}
-
-func (p *pool[T]) geqrt(i int) {
-	kernel.GEQRT(p.nb, p.nb, p.ib, p.full[i].Data, p.nb, p.tf, p.nb, p.work)
-}
-func (p *pool[T]) unmqr(i int) {
-	kernel.UNMQR(true, p.nb, p.nb, p.ib, p.aTri[i].Data, p.nb, p.tf, p.nb, p.c1[i].Data, p.nb, p.nb, p.work)
-}
-func (p *pool[T]) tsqrt(i int) {
-	kernel.TSQRT(p.nb, p.nb, p.ib, p.aTri[i].Data, p.nb, p.full[i].Data, p.nb, p.t2, p.nb, p.work)
-}
-func (p *pool[T]) tsmqr(i int) {
-	kernel.TSMQR(true, p.nb, p.nb, p.ib, p.vTS[i].Data, p.nb, p.t2, p.nb, p.c1[i].Data, p.nb, p.c2[i].Data, p.nb, p.nb, p.work)
-}
-func (p *pool[T]) ttqrt(i int) {
-	kernel.TTQRT(p.nb, p.nb, p.ib, p.aTri[i].Data, p.nb, p.vTT[i].Data, p.nb, p.t2, p.nb, p.work)
-}
-func (p *pool[T]) ttmqr(i int) {
-	kernel.TTMQR(true, p.nb, p.nb, p.ib, p.vTT[i].Data, p.nb, p.t2, p.nb, p.c1[i].Data, p.nb, p.c2[i].Data, p.nb, p.nb, p.work)
-}
-func (p *pool[T]) gemm(i int) {
-	kernel.GEMM(p.nb, p.nb, p.nb, p.full[i].Data, p.nb, p.c1[i].Data, p.nb, p.c2[i].Data, p.nb, p.work)
 }
 
 func splitComma(s string) []string {

@@ -73,11 +73,9 @@ import (
 
 	"tiledqr"
 	"tiledqr/internal/core"
-	"tiledqr/internal/kernel"
 	"tiledqr/internal/model"
 	"tiledqr/internal/sched"
 	"tiledqr/internal/sim"
-	"tiledqr/internal/tile"
 	"tiledqr/internal/tune"
 	"tiledqr/internal/vec"
 )
@@ -180,8 +178,7 @@ type kernelTimes map[core.Kind]float64
 
 // measureKernels times each of the six kernels on random nb×nb tiles for
 // the double or double-complex domain (the two the paper's experiments
-// sweep), using the adaptive timeIt so small tile sizes still get stable
-// samples.
+// sweep).
 func measureKernels(nb, ib int, complexArith bool) kernelTimes {
 	if complexArith {
 		return measureKernelsT[complex128](nb, ib)
@@ -190,9 +187,8 @@ func measureKernels(nb, ib int, complexArith bool) kernelTimes {
 }
 
 // measureKernelsT times each of the six kernels on random nb×nb tiles of
-// one scalar domain, delegating to the repo's single kernel-timing harness
-// (shared with the autotuner's calibration) at this command's sampling
-// window.
+// one scalar domain on the repo's one kernel-timing fixture (shared with
+// the autotuner's calibration) at this command's sampling window.
 func measureKernelsT[T vec.Scalar](nb, ib int) kernelTimes {
 	return kernelTimes(tune.MeasureKernelSecs[T](nb, ib, sampleWindow))
 }
@@ -593,47 +589,23 @@ func printThroughput(rep *throughputReport) {
 	fmt.Println("reuse:    shared runtime + FactorInto arena reuse (zero steady-state allocation)")
 }
 
-// sampleWindow is the minimum measurement window of timeIt; -quick shrinks
-// it so the CI bench gate finishes in seconds at the cost of a few percent
-// of noise (absorbed by the gate's tolerance).
+// sampleWindow is the minimum measurement window of every tune.Sample
+// here; -quick shrinks it so the CI bench gate finishes in seconds at the
+// cost of a few percent of noise (absorbed by the gate's tolerance).
 var sampleWindow = 100 * time.Millisecond
 
-// timeIt returns seconds per call, growing the repetition count until the
-// sample is long enough to trust.
-func timeIt(f func()) float64 {
-	f() // warm up
-	for reps := 1; ; reps *= 2 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			f()
-		}
-		if el := time.Since(start); el > sampleWindow || reps >= 1<<20 {
-			return el.Seconds() / float64(reps)
-		}
-	}
-}
+// timeIt returns the median seconds per call of f over sampleWindow.
+func timeIt(f func()) float64 { return tune.Sample(sampleWindow, 1, f, nil) }
 
-// kernelGflops converts measureKernelsT timings at the benchmark shape
-// into GFLOP/s (4 real flops per complex flop, as in the paper) and adds
-// the GEMM reference kernel, which measureKernelsT does not time. One
-// kernel table backs both the experiments and the JSON record.
+// kernelGflops times the six kernels and the GEMM reference at the
+// benchmark shape on one in-cache fixture and converts to GFLOP/s (4 real
+// flops per complex flop, as in the paper).
 func kernelGflops[T vec.Scalar]() map[string]float64 {
-	const nb, ib = benchNB, benchIB
-	flopScale := 1.0
-	if vec.IsComplex[T]() {
-		flopScale = 4
+	fx := tune.NewFixture[T](benchNB, benchIB, 1)
+	out := make(map[string]float64, tune.NumKernels)
+	for k := range tune.NumKernels {
+		out[k.String()] = tune.Gflops[T](k, benchNB, fx.Median(k, sampleWindow, 1))
 	}
-	cube := float64(nb) * float64(nb) * float64(nb)
-	out := make(map[string]float64, 7)
-	for kind, sec := range measureKernelsT[T](nb, ib) {
-		out[kind.String()] = flopScale * float64(kind.Weight()) * cube / 3 / sec / 1e9
-	}
-	a := tile.RandDense[T](nb, nb, 2)
-	b := tile.RandDense[T](nb, nb, 3)
-	c := tile.RandDense[T](nb, nb, 4)
-	gemmWork := make([]T, vec.GemmPackLen[T](nb, nb, nb))
-	gemmSec := timeIt(func() { kernel.GEMM(nb, nb, nb, a.Data, nb, b.Data, nb, c.Data, nb, gemmWork) })
-	out["GEMM"] = flopScale * 6 * cube / 3 / gemmSec / 1e9
 	return out
 }
 

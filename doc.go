@@ -42,7 +42,7 @@
 //
 //	internal/vec    — the Scalar constraint, the real/complex hooks
 //	                  (Conj, Abs, RealPart, FromParts), and the tuned
-//	                  vector primitives (unrolled Dot/Dotc/Axpy/Axpy2/
+//	                  vector primitives (unrolled Dot/Axpy/Axpy2/
 //	                  Scal/AddScaled, overflow-safe single-Sqrt Nrm2)
 //	internal/kernel — the paper's six tile kernels (GEQRT, TSQRT, TTQRT,
 //	                  UNMQR, TSMQR, TTMQR, as the pentagonal TPQRT/TPMQRT
@@ -364,8 +364,8 @@
 // across families — they are bit-identical for a fixed family), an
 // agreement the test suite enforces per primitive and end to end across
 // Factor, SolveLS and the streams in all four precisions. The autotuner
-// calibrates each family separately and records which one scored each
-// decision.
+// calibrates whichever family is active, keeps each family's calibration
+// apart, and records which one scored each decision.
 //
 // Applying Q costs O(m·n·nrhs), the same tile kernels replaying the
 // stored reflectors, and SolveLS adds an O(n²·nrhs) back-substitution that
@@ -394,4 +394,9 @@
 // -bench Table .` the end-to-end experiments, and `make bench` records the
 // kernel figures for every precision in BENCH_kernels.json alongside the
 // seed baseline, tracking the performance trajectory across revisions.
+// Every isolated-kernel figure — these benchmarks, cmd/qrkernels, qrperf
+// and the autotuner's calibration — comes from one timing fixture in
+// internal/tune: valid inputs for the six kernels and GEMM are built once,
+// each call is timed alone, the tiles it overwrote are restored untimed
+// after it, and the figure is the median time per call.
 package tiledqr

@@ -23,17 +23,16 @@ import (
 )
 
 // Config shapes a distributed run. Zero values take the documented
-// defaults.
+// defaults. Every worker factors its shard with the Greedy tree and TT
+// kernels.
 type Config struct {
-	Workers      int            // worker processes to expect (default 2)
-	NB           int            // tile size inside each shard (default 128)
-	IB           int            // inner block size (default 32)
-	Algorithm    core.Algorithm // local elimination order (default Greedy)
-	Kernels      core.Kernels   // local kernel family (default TT)
-	Rounds       int            // factor+reduce rounds per run (default 1)
-	Window       int            // pipelining credit window in rounds (default 2)
-	LocalWorkers int            // scheduler width inside each worker (0 = default)
-	Addr         string         // listen address (default "127.0.0.1:0")
+	Workers      int    // worker processes to expect (default 2)
+	NB           int    // tile size inside each shard (default 128)
+	IB           int    // inner block size (default 32)
+	Rounds       int    // factor+reduce rounds per run (default 1)
+	Window       int    // pipelining credit window in rounds (default 2)
+	LocalWorkers int    // scheduler width inside each worker (0 = default)
+	Addr         string // listen address (default "127.0.0.1:0")
 
 	// GenSeed ≠ 0 selects benchmark mode: workers generate their own
 	// GenRows×GenCols shards (plus GenRHS right-hand columns) from
@@ -55,9 +54,6 @@ func (c *Config) defaults() {
 	}
 	if c.IB <= 0 {
 		c.IB = 32
-	}
-	if c.Algorithm == 0 && c.Kernels == 0 {
-		c.Algorithm = core.Greedy
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 1
@@ -191,7 +187,7 @@ func Run[T vec.Scalar](ctx context.Context, c *Coordinator, a, b *tile.Dense[T])
 		wc := wireConfig{
 			Proto: protoVersion, Rank: r, Workers: W, Peers: peers,
 			Prec: string(precOf[T]()), ShardRows: shardRows[r], N: n, NRHS: nrhs,
-			NB: cfg.NB, IB: cfg.IB, Alg: int(cfg.Algorithm), Kern: int(cfg.Kernels),
+			NB: cfg.NB, IB: cfg.IB, Alg: int(core.Greedy), Kern: int(core.TT),
 			Rounds: cfg.Rounds, Allow: granted,
 			GenSeed: cfg.GenSeed, LocalWorkers: cfg.LocalWorkers,
 		}

@@ -7,11 +7,14 @@
 // float32/float64/complex64/complex128 behind thin typed wrappers;
 // internal/stream reuses ExecTasks/Replay for its resident-triangle merges.
 //
-// Execution placement is decided here and nowhere else, by Env.run: an
-// explicit sched.Runtime, inline on the calling goroutine (Workers == 1,
-// and the streaming core's DAGs too small to be worth a cross-goroutine
-// hop), a private pool of Workers > 1 workers that is gone when the call
-// returns, or otherwise the process-wide shared runtime. Kernel workspaces
+// Execution placement is decided by Env.run: an explicit sched.Runtime,
+// inline on the calling goroutine (Workers == 1), a private pool of
+// Workers > 1 workers that is gone when the call returns, or otherwise the
+// process-wide shared runtime. One rule outside this package overrides
+// it: internal/stream runs a merge DAG of fewer than seqTaskThreshold
+// tasks inline on the appending goroutine, even when the stream was given
+// an explicit Runtime, because such DAGs are too small to be worth a
+// cross-goroutine hop. Kernel workspaces
 // are owned by the workers themselves — one grow-only buffer per
 // arithmetic domain in each worker's sched.Local — so repeated
 // factorizations allocate no scratch.

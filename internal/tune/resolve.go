@@ -89,7 +89,7 @@ func Rank[T vec.Scalar](req Request) []Candidate {
 		req.Workers = runtime.GOMAXPROCS(0)
 	}
 	family := vec.ActiveFamily()
-	pts := ForFamily[T](family)
+	pts := ForPrecision[T]()
 	flopScale := 1.0
 	if vec.IsComplex[T]() {
 		flopScale = 4
@@ -163,7 +163,7 @@ func ResolveStream[T vec.Scalar](n, workers, pinNB, pinIB int, fam core.Kernels)
 	if c, ok := decided.Load(key); ok {
 		return c.(Candidate), nil
 	}
-	pts := ForFamily[T](family)
+	pts := ForPrecision[T]()
 	flopScale := 1.0
 	if vec.IsComplex[T]() {
 		flopScale = 4

@@ -8,16 +8,19 @@
 //
 // Calibration is lazy and per (kernel family, precision): the first Auto
 // factorization in a given scalar domain measures the six kernels under the
-// vec backend currently active (generic loops or the SIMD family), and
-// measuring the other family on demand flips the backend around the
-// micro-benchmarks. Each combination measures
-// GEQRT/UNMQR/TSQRT/TSMQR/TTQRT/TTMQR at a
-// handful of candidate (nb, ib) points (tens of milliseconds per point) and
-// the result is cached at ~/.cache/tiledqr/calibration.json — overridable
+// vec backend currently active (generic loops or the SIMD family); the
+// other family is calibrated the first time Auto runs with it active. Each
+// combination measures GEQRT/UNMQR/TSQRT/TSMQR/TTQRT/TTMQR at a handful of
+// candidate (nb, ib) points (tens of milliseconds per point) and the
+// result is cached at ~/.cache/tiledqr/calibration.json — overridable
 // with the TILEDQR_CALIBRATION environment variable ("off" disables
 // persistence entirely). A corrupt, truncated or schema-incompatible cache
 // file is ignored and recalibrated, never an error; concurrent first uses
 // are single-flighted so the micro-benchmarks run once.
+//
+// The package also holds the one kernel-timing harness (fixture.go):
+// calibration, qrperf, qrkernels and the Figure 4–5 benchmarks all time a
+// kernel the same way, on restored valid inputs, as a median per call.
 package tune
 
 import (
@@ -28,8 +31,6 @@ import (
 	"time"
 
 	"tiledqr/internal/core"
-	"tiledqr/internal/kernel"
-	"tiledqr/internal/tile"
 	"tiledqr/internal/vec"
 )
 
@@ -93,11 +94,10 @@ type calEntry struct {
 }
 
 var (
-	calMu     sync.Mutex
-	calBy     = map[string]*calEntry{} // "family/precision" → entry
-	fileMu    sync.Mutex               // serializes read-merge-write of the cache file
-	measureMu sync.Mutex               // serializes backend flips during measurement
-	decided   sync.Map                 // decKey → Candidate (per-process decision cache)
+	calMu   sync.Mutex
+	calBy   = map[string]*calEntry{} // "family/precision" → entry
+	fileMu  sync.Mutex               // serializes read-merge-write of the cache file
+	decided sync.Map                 // decKey → Candidate (per-process decision cache)
 )
 
 // measureHook, when non-nil, replaces the real micro-benchmarks — tests use
@@ -119,24 +119,11 @@ func Reset() {
 
 // ForPrecision returns the calibration points of T's domain for the kernel
 // family the vec primitives currently dispatch to, measuring them on first
-// use. Concurrent first uses are single-flighted; the winner persists the
-// result best-effort (a read-only cache directory degrades to in-process
-// calibration, never an error).
+// use under that family. Concurrent first uses are single-flighted; the
+// winner persists the result best-effort (a read-only cache directory
+// degrades to in-process calibration, never an error).
 func ForPrecision[T vec.Scalar]() []Point {
-	return ForFamily[T](vec.ActiveFamily())
-}
-
-// ForFamily returns the calibration points of T's domain under the named
-// kernel family, measuring them on first use. Requesting the SIMD family on
-// a host without a vector backend degrades to the generic family (the only
-// one that can actually run there). Measuring a family other than the
-// active one flips the vec backend for the duration of the micro-benchmarks
-// and restores it afterwards; flips are serialized so concurrent
-// calibrations of different families don't corrupt each other's timings.
-func ForFamily[T vec.Scalar](family string) []Point {
-	if family == vec.FamilySIMD && !vec.SIMDSupported() {
-		family = vec.FamilyGeneric
-	}
+	family := vec.ActiveFamily()
 	prec := vec.DomainOf[T]().String()
 	key := family + "/" + prec
 	calMu.Lock()
@@ -154,26 +141,11 @@ func ForFamily[T vec.Scalar](family string) []Point {
 		if measureHook != nil {
 			e.pts = measureHook(family, prec)
 		} else {
-			e.pts = measureFamily[T](family)
+			e.pts = measureAll[T]()
 		}
 		saveCalibration(family, prec, e.pts)
 	})
 	return e.pts
-}
-
-// measureFamily runs the calibration micro-benchmarks with the vec backend
-// pinned to the requested family, restoring the previous backend state when
-// done. The measurement lock keeps a concurrent calibration of the other
-// family from flipping the backend mid-benchmark; kernels running on other
-// goroutines during a flip stay correct (the families agree numerically)
-// but may briefly execute on the other backend.
-func measureFamily[T vec.Scalar](family string) []Point {
-	measureMu.Lock()
-	defer measureMu.Unlock()
-	prev := vec.SIMDEnabled()
-	vec.SetSIMD(family == vec.FamilySIMD)
-	defer vec.SetSIMD(prev)
-	return measureAll[T]()
 }
 
 // CacheLocation describes where the calibration cache lives, for tooling
@@ -299,86 +271,24 @@ func measureAll[T vec.Scalar]() []Point {
 // calibration stays well under a second per precision.
 const calWindow = 8 * time.Millisecond
 
-// timeKernel returns seconds per call, doubling the repetition count until
-// the sample window is long enough to trust.
-func timeKernel(f func(), window time.Duration) float64 {
-	f() // warm up
-	for reps := 1; ; reps *= 2 {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			f()
-		}
-		if el := time.Since(start); el > window || reps >= 1<<16 {
-			return el.Seconds() / float64(reps)
-		}
-	}
-}
-
 // measurePoint times the six kernels at a calibration budget and converts
-// to GFLOP/s (4 real flops per complex flop, as everywhere in the repo).
+// to GFLOP/s.
 func measurePoint[T vec.Scalar](nb, ib int) map[string]float64 {
-	flopScale := 1.0
-	if vec.IsComplex[T]() {
-		flopScale = 4
-	}
-	cube := float64(nb) * float64(nb) * float64(nb)
-	sec := MeasureKernelSecs[T](nb, ib, calWindow)
-	out := make(map[string]float64, len(sec))
-	for kind, s := range sec {
-		out[kind.String()] = flopScale * float64(kind.Weight()) * cube / 3 / s / 1e9
+	out := make(map[string]float64, GEMM)
+	for kind, s := range MeasureKernelSecs[T](nb, ib, calWindow) {
+		out[kind.String()] = Gflops[T](Kernel(kind), nb, s)
 	}
 	return out
 }
 
-// MeasureKernelSecs micro-benchmarks the six Table 1 kernels on random
-// nb×nb tiles and returns seconds per invocation, sampling each kernel for
-// at least the given window. It is the one kernel-timing harness in the
-// repo: calibration uses it at a short window, qrperf's experiments and the
-// benchmark-JSON emitter at a longer one.
+// MeasureKernelSecs returns the median seconds per call of the six Table 1
+// kernels on in-cache nb×nb tiles, sampling each for the given window:
+// calibration uses a short window, qrperf's experiments a longer one.
 func MeasureKernelSecs[T vec.Scalar](nb, ib int, window time.Duration) map[core.Kind]float64 {
-	da := tile.RandDense[T](nb, nb, 1)
-	db := tile.RandDense[T](nb, nb, 2)
-	dc := tile.RandDense[T](nb, nb, 3)
-	tf := make([]T, ib*nb)
-	t2 := make([]T, ib*nb)
-	ws := make([]T, kernel.WorkLen(nb, ib))
-	sec := map[core.Kind]float64{}
-	sec[core.KGEQRT] = timeKernel(func() {
-		a := da.Clone()
-		kernel.GEQRT(nb, nb, ib, a.Data, nb, tf, nb, ws)
-	}, window)
-	v := da.Clone()
-	kernel.GEQRT(nb, nb, ib, v.Data, nb, tf, nb, ws)
-	sec[core.KUNMQR] = timeKernel(func() {
-		c := dc.Clone()
-		kernel.UNMQR(true, nb, nb, ib, v.Data, nb, tf, nb, c.Data, nb, nb, ws)
-	}, window)
-	rTri := v
-	sec[core.KTSQRT] = timeKernel(func() {
-		a := rTri.Clone()
-		b := db.Clone()
-		kernel.TSQRT(nb, nb, ib, a.Data, nb, b.Data, nb, t2, nb, ws)
-	}, window)
-	vts := db.Clone()
-	kernel.TSQRT(nb, nb, ib, rTri.Clone().Data, nb, vts.Data, nb, t2, nb, ws)
-	sec[core.KTSMQR] = timeKernel(func() {
-		c1 := dc.Clone()
-		c2 := dc.Clone()
-		kernel.TSMQR(true, nb, nb, ib, vts.Data, nb, t2, nb, c1.Data, nb, c2.Data, nb, nb, ws)
-	}, window)
-	rTri2 := db.Clone()
-	kernel.GEQRT(nb, nb, ib, rTri2.Data, nb, tf, nb, ws)
-	sec[core.KTTQRT] = timeKernel(func() {
-		a := rTri.Clone()
-		b := rTri2.Clone()
-		kernel.TTQRT(nb, nb, ib, a.Data, nb, b.Data, nb, t2, nb, ws)
-	}, window)
-	vtt := rTri2.Clone()
-	kernel.TTQRT(nb, nb, ib, rTri.Clone().Data, nb, vtt.Data, nb, t2, nb, ws)
-	sec[core.KTTMQR] = timeKernel(func() {
-		c1 := dc.Clone()
-		c2 := dc.Clone()
-		kernel.TTMQR(true, nb, nb, ib, vtt.Data, nb, t2, nb, c1.Data, nb, c2.Data, nb, nb, ws)
-	}, window)
+	fx := NewFixture[T](nb, ib, 1)
+	sec := make(map[core.Kind]float64, GEMM)
+	for k := range GEMM {
+		sec[core.Kind(k)] = fx.Median(k, window, 1)
+	}
 	return sec
 }

@@ -145,9 +145,12 @@ func TestCalibrationMergesPrecisions(t *testing.T) {
 }
 
 // TestCalibrationPerFamily checks the cache keeps the two kernel families'
-// points apart and that ForFamily measures exactly the family it was asked
-// for (flipping the vec backend if needed, restoring it afterwards).
+// points apart: calibrating under each family in turn measures each once,
+// under its own key, and neither overwrites the other.
 func TestCalibrationPerFamily(t *testing.T) {
+	if !vec.SIMDSupported() {
+		t.Skip("host has no SIMD backend; only the generic family can run")
+	}
 	path := filepath.Join(t.TempDir(), "cal.json")
 	t.Setenv(EnvCalibration, path)
 	var families []string
@@ -155,26 +158,19 @@ func TestCalibrationPerFamily(t *testing.T) {
 		families = append(families, family)
 		return synthPoints()
 	})
-	before := vec.ActiveFamily()
-	generic := ForFamily[float64](vec.FamilyGeneric)
-	active := ForPrecision[float64]()
-	if vec.ActiveFamily() != before {
-		t.Fatalf("calibration changed the active family: %s → %s", before, vec.ActiveFamily())
-	}
-	if len(generic) == 0 || len(active) == 0 {
-		t.Fatal("missing calibration points")
-	}
-	wantFams := []string{vec.FamilyGeneric}
-	if before != vec.FamilyGeneric {
-		wantFams = append(wantFams, before)
-	}
-	if len(families) != len(wantFams) {
-		t.Fatalf("measured families %v, want %v", families, wantFams)
-	}
-	for i, f := range wantFams {
-		if families[i] != f {
-			t.Fatalf("measured families %v, want %v", families, wantFams)
+	prev := vec.SIMDEnabled()
+	t.Cleanup(func() { vec.SetSIMD(prev) })
+	want := []string{vec.FamilyGeneric, vec.FamilySIMD}
+	for _, fam := range want {
+		if err := vec.SetFamily(fam); err != nil {
+			t.Fatal(err)
 		}
+		if len(ForPrecision[float64]()) == 0 {
+			t.Fatalf("no calibration points for family %s", fam)
+		}
+	}
+	if len(families) != len(want) || families[0] != want[0] || families[1] != want[1] {
+		t.Fatalf("measured families %v, want %v", families, want)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -184,33 +180,10 @@ func TestCalibrationPerFamily(t *testing.T) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range wantFams {
+	for _, fam := range want {
 		if len(f.Families[fam]["float64"]) == 0 {
 			t.Errorf("cache file missing family %s: have %v", fam, f.Families)
 		}
-	}
-}
-
-// TestForFamilyUnsupportedSIMDDegrades pins the contract that asking for
-// the SIMD family on a host without a vector backend serves the generic
-// calibration instead of inventing one (meaningful on the noasm build).
-func TestForFamilyUnsupportedSIMDDegrades(t *testing.T) {
-	if vec.SIMDSupported() {
-		t.Skip("host has a SIMD backend; degradation path not reachable")
-	}
-	t.Setenv(EnvCalibration, "off")
-	var calls atomic.Int32
-	withHook(t, func(family, prec string) []Point {
-		calls.Add(1)
-		if family != vec.FamilyGeneric {
-			t.Errorf("measured family %q on a host without SIMD", family)
-		}
-		return synthPoints()
-	})
-	ForFamily[float64](vec.FamilySIMD)
-	ForFamily[float64](vec.FamilyGeneric)
-	if calls.Load() != 1 {
-		t.Fatalf("measured %d times, want 1 (simd request degrades to the generic entry)", calls.Load())
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // The complex-domain tests exercise the same generic primitives as
-// vec_test.go instantiated at complex128, plus the conjugating variants
-// (Dotc, DotAxpy) whose real instantiations degenerate to Dot.
+// vec_test.go instantiated at complex128.
 
 func randZSlice(n int, rng *rand.Rand) []complex128 {
 	x := make([]complex128, n)
@@ -32,16 +31,12 @@ func TestComplexDotDotc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range lengths {
 		x, y := randZSlice(n, rng), randZSlice(n, rng)
-		var wantU, wantC complex128
+		var wantU complex128
 		for i := range x {
 			wantU += x[i] * y[i]
-			wantC += cmplx.Conj(x[i]) * y[i]
 		}
 		if got := Dot(x, y); !almostEqZ(got, wantU) {
 			t.Errorf("n=%d: Dot=%v want %v", n, got, wantU)
-		}
-		if got := Dotc(x, y); !almostEqZ(got, wantC) {
-			t.Errorf("n=%d: Dotc=%v want %v", n, got, wantC)
 		}
 	}
 }
@@ -110,33 +105,6 @@ func TestComplexScalAddScaled(t *testing.T) {
 		for i := range y {
 			if y[i] != want[i] {
 				t.Fatalf("n=%d: AddScaled[%d]=%v want %v", n, i, y[i], want[i])
-			}
-		}
-	}
-}
-
-func TestComplexDotAxpy(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, n := range lengths {
-		v, c := randZSlice(n, rng), randZSlice(n, rng)
-		c0 := complex(rng.NormFloat64(), rng.NormFloat64())
-		tau := complex(rng.NormFloat64(), rng.NormFloat64())
-		var dot complex128
-		for i := range v {
-			dot += cmplx.Conj(v[i]) * c[i]
-		}
-		wantW := tau * (c0 + dot)
-		wantC := append([]complex128(nil), c...)
-		for i := range wantC {
-			wantC[i] -= wantW * v[i]
-		}
-		w := DotAxpy(tau, c0, v, c)
-		if !almostEqZ(w, wantW) {
-			t.Errorf("n=%d: DotAxpy w=%v want %v", n, w, wantW)
-		}
-		for i := range c {
-			if !almostEqZ(c[i], wantC[i]) {
-				t.Fatalf("n=%d: DotAxpy c[%d]=%v want %v", n, i, c[i], wantC[i])
 			}
 		}
 	}
@@ -226,8 +194,8 @@ func TestSinglePrecisionPrimitives(t *testing.T) {
 	}
 	cx := []complex64{complex(1, 1), complex(2, -1)}
 	cy := []complex64{complex(3, 0), complex(0, 1)}
-	if got := Dotc(cx, cy); got != complex(float32(2), float32(-1)) {
-		t.Errorf("complex64 Dotc=%v want (2-1i)", got)
+	if got := Dot(cx, cy); got != complex(float32(4), float32(5)) {
+		t.Errorf("complex64 Dot=%v want (4+5i)", got)
 	}
 	if got := Nrm2([]complex64{complex(3, 4)}); got != 5 {
 		t.Errorf("complex64 Nrm2=%g want 5", got)

@@ -58,29 +58,6 @@ func dotGeneric[T Scalar](x, y []T) T {
 	return s
 }
 
-// Dotc returns the conjugated product Σ conj(x[i])·y[i] (BLAS dotc); for
-// real types it coincides with Dot.
-func Dotc[T Scalar](x, y []T) T {
-	if !IsComplex[T]() {
-		return Dot(x, y)
-	}
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	y = y[:n]
-	var s0, s1 T
-	i := 0
-	for ; i+1 < n; i += 2 {
-		s0 += Conj(x[i]) * y[i]
-		s1 += Conj(x[i+1]) * y[i+1]
-	}
-	if i < n {
-		s0 += Conj(x[i]) * y[i]
-	}
-	return s0 + s1
-}
-
 // Axpy computes y += α·x over len(x) elements. len(y) must be ≥ len(x).
 // α = 0 is a no-op (structural-zero skip — enforced before SIMD dispatch,
 // so 0·Inf never manufactures a NaN on either family).
@@ -219,19 +196,6 @@ func AddScaled[T Scalar](alpha, beta T, x, y []T) {
 	for ; i < n; i++ {
 		y[i] = alpha*y[i] + beta*x[i]
 	}
-}
-
-// DotAxpy applies one Householder reflector H = I − τ·(1,v)·(1,v)ᴴ to the
-// column (c0; c) in a single fused call, in LAPACK's convention (Hᴴ is
-// applied when τ is passed conjugated): w = τ·(c0 + Σ conj(v[i])·c[i]),
-// then c -= w·v. It returns w, so the caller finishes with c0 -= w. This is
-// the contiguous larf column micro-kernel, for callers holding column-major
-// (or packed) data; the row-major tile kernels express the same update as
-// row sweeps of Axpy instead.
-func DotAxpy[T Scalar](tau, c0 T, v, c []T) (w T) {
-	w = tau * (c0 + Dotc(v, c))
-	Axpy(-w, v, c)
-	return w
 }
 
 // Nrm2 returns ‖x‖₂ — for complex types the Euclidean norm of the real and

@@ -177,28 +177,6 @@ func TestAddScaled(t *testing.T) {
 	}
 }
 
-func TestDotAxpy(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range lengths {
-		v, c := randSlice(n, rng), randSlice(n, rng)
-		c0, tau := rng.NormFloat64(), rng.NormFloat64()
-		wantW := tau * (c0 + refDot(v, c))
-		wantC := append([]float64(nil), c...)
-		for i := range wantC {
-			wantC[i] -= wantW * v[i]
-		}
-		w := DotAxpy(tau, c0, v, c)
-		if !almostEq(w, wantW) {
-			t.Errorf("n=%d: DotAxpy w=%g want %g", n, w, wantW)
-		}
-		for i := range c {
-			if !almostEq(c[i], wantC[i]) {
-				t.Fatalf("n=%d: DotAxpy c[%d]=%g want %g", n, i, c[i], wantC[i])
-			}
-		}
-	}
-}
-
 func TestNrm2MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range lengths {
